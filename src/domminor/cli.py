@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hunt", help="scan a graph6 corpus for conjecture counterexamples")
     p.add_argument("--input", help="corpus path; '-' or omitted reads stdin")
-    p.add_argument("--output", help="write JSONL records to this file (required for resume)")
+    p.add_argument("--output", help="write JSONL records to this file (required with --checkpoint)")
     p.add_argument(
         "--checks",
         nargs="+",

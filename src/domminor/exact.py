@@ -348,6 +348,12 @@ def enumerate_connected_sets(g: Graph, within: int | None = None, max_size: int 
 # dominating / ordinary K_t minor search
 # ---------------------------------------------------------------------------
 
+def _require_valid(g: Graph, model: MinorModel) -> None:
+    report = verify_dominating_model(g, model)
+    if not report.valid:
+        raise RuntimeError(f"search returned an invalid dominating model: {report.message}")
+
+
 def _check_cap(g: Graph, cap: int) -> None:
     if g.n > cap:
         raise CapacityError(
@@ -356,13 +362,30 @@ def _check_cap(g: Graph, cap: int) -> None:
 
 
 def has_dominating_kt(
-    g: Graph, t: int, cap: int = DEFAULT_SEARCH_CAP, deadline_s: float | None = None
+    g: Graph,
+    t: int,
+    cap: int = DEFAULT_SEARCH_CAP,
+    deadline_s: float | None = None,
+    *,
+    _dead: bytearray | None = None,
 ) -> MinorModel | None:
     """A verified dominating K_t model, or ``None`` after exhaustive search.
 
     Depth-first over ordered set sequences: T_1 ranges over connected sets;
     candidates for every later set are restricted to vertices adjacent to all
     sets chosen so far, which makes the domination pruning monotone.
+
+    Dead states are memoised.  Whether ``r`` more sets can be chosen depends
+    only on the candidate mask ``cand``: it already excludes the chosen sets
+    and keeps only vertices adjacent to every one of them.  Failure is
+    monotone in ``r``, since the first ``r`` sets of a longer model are a
+    model the search would find.  So ``dead[cand]`` stores the smallest ``r``
+    proven to fail from ``cand`` (0: unknown), a state at or above it is
+    skipped, and the facts hold for every t: ``dominating_hadwiger_number``
+    shares one memo across its probes through ``_dead``.  The memo is a
+    ``bytearray`` of 2^n bytes (64 KiB at the default cap).  It skips only
+    subtrees that return ``None``, so the returned model is the one the
+    unmemoised search finds.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -374,13 +397,14 @@ def has_dominating_kt(
         model = tuple(1 << v for v in set_to_list(cmask)[:t])
         return model
     deadline = Deadline(deadline_s)
+    dead = bytearray(1 << g.n) if _dead is None else _dead
 
     def rec(cand: int, chosen: list[int], remaining: int) -> MinorModel | None:
         deadline.tick()
         if remaining == 0:
             return tuple(chosen)
         avail = cand.bit_count()
-        if avail < remaining:
+        if avail < remaining or 0 < dead[cand] <= remaining:
             return None
         for s in enumerate_connected_sets(g, cand, avail - (remaining - 1)):
             nxt = (cand & ~s) & neighbors_of_set(g, s)
@@ -390,11 +414,12 @@ def has_dominating_kt(
                 if found is not None:
                     return found
                 chosen.pop()
+        dead[cand] = remaining
         return None
 
     model = rec(g.full_mask, [], t)
     if model is not None:
-        assert verify_dominating_model(g, model).valid
+        _require_valid(g, model)
     return model
 
 
@@ -444,14 +469,15 @@ def dominating_hadwiger_number(
     omega, cmask = clique_number(g)
     t = omega
     best: MinorModel = tuple(1 << v for v in set_to_list(cmask))
+    dead = bytearray(1 << g.n)
     while t < g.n:
         remaining = None if deadline.at is None else max(deadline.at - time.monotonic(), 0.001)
-        nxt = has_dominating_kt(g, t + 1, cap=cap, deadline_s=remaining)
+        nxt = has_dominating_kt(g, t + 1, cap=cap, deadline_s=remaining, _dead=dead)
         if nxt is None:
             break
         t += 1
         best = nxt
-    assert best is not None and verify_dominating_model(g, best).valid
+    _require_valid(g, best)
     return t, best
 
 

@@ -63,6 +63,7 @@ from .patterns import (
     find_banner,
     find_induced,
     find_induced_cycle,
+    has_induced_c5,
     induced_c5_iter,
     path_pattern,
     verify_embedding,
@@ -1013,7 +1014,7 @@ def _extract(g: Graph, ctx: _Ctx, depth: int) -> tuple[int, MinorModel]:
     omega, cmask = clique_number(g)
 
     if omega >= chi:
-        if find_induced_cycle(g, 4) is None and not _has_c5(g):
+        if find_induced_cycle(g, 4) is None and not has_induced_c5(g):
             model = _split_model(g, chi, ctx, depth)
         else:
             model = tuple(1 << v for v in set_to_list(cmask)[:chi])
@@ -1046,10 +1047,6 @@ def _extract(g: Graph, ctx: _Ctx, depth: int) -> tuple[int, MinorModel]:
     if isinstance(out, Completed):
         return chi, _finish(g, chi, out.model, ctx, depth)
     return chi, _finish(g, chi, _final_construction(g, out, chi, ctx, depth), ctx, depth)
-
-
-def _has_c5(g: Graph) -> bool:
-    return next(induced_c5_iter(g), None) is not None
 
 
 def extract_dominating(

@@ -180,5 +180,6 @@ def random_2k2_free(n: int, p: float, seed: int) -> Graph:
         u, v = ((a1, b1), (a1, b2), (a2, b1), (a2, b2))[rng.below(4)]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    assert find_2k2(g) is None
+    if find_2k2(g) is not None:
+        raise RuntimeError("repair loop returned a graph that still contains a 2K2")
     return g

@@ -119,13 +119,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def from_adj_rows(n: int, rows: Iterable[int]) -> Graph:
-    """Build a graph from prevalidated neighborhood masks (checked)."""
-    g = Graph(n, tuple(rows))
-    g.check_invariants()
-    return g
-
-
 # ---------------------------------------------------------------------------
 # graph6
 # ---------------------------------------------------------------------------
@@ -345,10 +338,6 @@ def connected_components(g: Graph) -> list[int]:
         comps.append(seen)
         remaining &= ~seen
     return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n == 0 or is_connected_set(g, g.full_mask)
 
 
 def is_complete_to(g: Graph, x: int, y: int) -> bool:

@@ -82,6 +82,10 @@ class HuntConfig:
             raise HuntError("at least one check is required")
         if self.graph_filter is not None and self.graph_filter not in KNOWN_FILTERS:
             raise HuntError(f"unknown filter {self.graph_filter!r}; known: {list(KNOWN_FILTERS)}")
+        if self.checkpoint_path is not None and self.output_path is None:
+            # a resume skips the checkpointed lines, whose records went to a
+            # stream the hunt cannot read back, so they would be lost
+            raise HuntError("a checkpoint needs an output file (--output) to resume from")
 
 
 @dataclass

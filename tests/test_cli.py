@@ -180,3 +180,14 @@ class TestHuntCommand:
     def test_hunt_missing_input_exit_1(self, capsys, tmp_path):
         code, obj = run_json(capsys, "hunt", "--input", str(tmp_path / "nope.g6"))
         assert code == 1
+
+    def test_hunt_checkpoint_without_output_exit_1(self, capsys, tmp_path, monkeypatch):
+        class Unread:
+            def read(self):
+                raise AssertionError("input read before the configuration was refused")
+
+        monkeypatch.setattr("sys.stdin", Unread())
+        ckpt = tmp_path / "ck.json"
+        code, obj = run_json(capsys, "hunt", "--checkpoint", str(ckpt))
+        assert code == 1 and "--output" in obj["error"]
+        assert not ckpt.exists()

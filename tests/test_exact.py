@@ -1,11 +1,15 @@
+import hashlib
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import domminor.exact as exact_mod
 from domminor.exact import (
     CapacityError,
+    SearchDeadlineExceeded,
     chromatic_number,
     clique_number,
     dominating_hadwiger_number,
@@ -20,10 +24,19 @@ from domminor.exact import (
     verify_dominating_model,
     verify_ordinary_model,
 )
-from domminor.generators import complete, complete_multipartite, cycle, one_subdivision_complete, path, petersen
-from domminor.graphs import Graph, complement, from_edge_list, is_connected_set, set_to_list
+from domminor.generators import (
+    complete,
+    complete_multipartite,
+    cycle,
+    one_subdivision_complete,
+    path,
+    petersen,
+    random_2k2_free,
+)
+from domminor.graphs import Graph, complement, from_edge_list, is_connected_set, parse_graph6, set_to_list
 
 C5 = cycle(5)
+DATA = Path(__file__).parent / "data"
 
 
 def random_graphs(max_n=7, min_n=0):
@@ -329,3 +342,55 @@ class TestInvariantProperties:
     @given(random_graphs(max_n=6, min_n=1), st.integers(min_value=1, max_value=3))
     def test_t_le_3_equivalence(self, g, t):
         assert (has_dominating_kt(g, t) is not None) == has_kt_minor(g, t)
+
+
+class TestDeadStateMemo:
+    def test_atlas_models_pinned(self):
+        # (graph6, h_d, model) over all 1,252 graphs with 1 <= n <= 7; the
+        # digest was taken from the search before it had a memo
+        h = hashlib.md5()
+        count = 0
+        for n in range(1, 8):
+            for line in (DATA / f"graphs{n}.g6").read_text().split():
+                hd, model = dominating_hadwiger_number(parse_graph6(line))
+                h.update(f"{line} {hd} {model}\n".encode())
+                count += 1
+        assert count == 1252
+        assert h.hexdigest() == "8350319040fba59bdae332e5599d191a"
+
+    @pytest.mark.parametrize("n, seed", [(12, 1), (12, 2), (13, 1), (13, 3)])
+    def test_shared_memo_probe_matches_fresh_search(self, monkeypatch, n, seed):
+        g = random_2k2_free(n, 0.4, seed)
+        probes = []
+        fresh = exact_mod.has_dominating_kt
+
+        def recording(graph, t, *args, **kwargs):
+            found = fresh(graph, t, *args, **kwargs)
+            probes.append((t, found))
+            return found
+
+        monkeypatch.setattr(exact_mod, "has_dominating_kt", recording)
+        hd, model = dominating_hadwiger_number(g)
+        monkeypatch.undo()
+        assert len(probes) >= 3 and probes[-1] == (hd + 1, None)
+        assert probes[-2] == (hd, model)
+        for t, found in probes:
+            assert has_dominating_kt(g, t) == found
+
+    def test_deadline_then_full_search(self):
+        g = random_2k2_free(13, 0.4, 3)
+        with pytest.raises(SearchDeadlineExceeded):
+            dominating_hadwiger_number(g, deadline_s=1e-4)
+        with pytest.raises(SearchDeadlineExceeded):
+            has_dominating_kt(g, 9, deadline_s=1e-4)
+        assert dominating_hadwiger_number(g) == (8, (33, 66, 4100, 272, 8, 128, 1024, 2048))
+        assert has_dominating_kt(g, 9) is None
+
+    def test_invalid_model_raises_without_assert(self, monkeypatch):
+        # the model check must hold under ``python -O`` too, so it may not be an assert
+        bad = exact_mod.ModelReport(False, "domination", 1, 2, 0, "forced failure")
+        monkeypatch.setattr(exact_mod, "verify_dominating_model", lambda g, m: bad)
+        with pytest.raises(RuntimeError, match="forced failure"):
+            has_dominating_kt(C5, 3)
+        with pytest.raises(RuntimeError, match="forced failure"):
+            dominating_hadwiger_number(complete(3))  # no probe runs; the clique model is checked

@@ -122,5 +122,14 @@ class TestRandom:
     def test_2k2_free_property(self, seed, n):
         assert is_2k2_free(random_2k2_free(n, 0.35, seed))
 
+    def test_2k2_free_postcondition_raises_without_assert(self, monkeypatch):
+        # the final re-check must hold under ``python -O`` too, so it may not be an assert
+        import domminor.generators as gen
+
+        answers = iter([None, "witness"])
+        monkeypatch.setattr(gen, "find_2k2", lambda g: next(answers))
+        with pytest.raises(RuntimeError, match="2K2"):
+            random_2k2_free(6, 0.5, 1)
+
     def test_banner_pattern_matches_family(self):
         assert banner() == banner_pattern().template

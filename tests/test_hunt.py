@@ -202,6 +202,15 @@ class TestRunHunt:
         with pytest.raises(HuntError):
             HuntConfig(graph_filter="planar").validate()
 
+    def test_checkpoint_requires_output_path(self, corpus_file, tmp_path):
+        import io
+
+        ckpt = tmp_path / "ck.json"
+        cfg = HuntConfig(input_path=str(corpus_file), checkpoint_path=str(ckpt))
+        with pytest.raises(HuntError, match="output"):
+            run_hunt(cfg, record_stream=io.StringIO())
+        assert not ckpt.exists()
+
     def test_unreadable_input(self, tmp_path):
         with pytest.raises(HuntError, match="cannot read input"):
             run_hunt(HuntConfig(input_path=str(tmp_path / "missing.g6")))
