@@ -18,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from domminor.hunt import HuntConfig, run_hunt  # noqa: E402
+from domminor.hunt import KNOWN_CHECKS, HuntConfig, run_hunt  # noqa: E402
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -28,7 +28,7 @@ def main() -> int:
     ap.add_argument("--max-n", type=int, default=8)
     ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--output", help="JSONL record path (default: temp file)")
-    ap.add_argument("--checks", nargs="+", default=["dominating-hadwiger"])
+    ap.add_argument("--checks", nargs="+", choices=KNOWN_CHECKS, default=["dominating-hadwiger"])
     args = ap.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:

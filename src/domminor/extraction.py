@@ -2,9 +2,10 @@
 
 Given a 2K2-free graph G, :func:`extract_dominating` returns a verified
 dominating minor model with exactly chi(G) branch sets.  The algorithm is a
-recursive case analysis; every branch removes a structured vertex set U with
-chi(G[U]) <= c, prepends c explicit branch sets that dominate everything kept,
-recurses on G - U, and stitches the results with :func:`lift_model`.
+recursive case analysis; every reduction branch (one helper, ``_reduce``)
+removes a structured vertex set U with chi(G[U]) <= c, prepends c explicit
+branch sets that dominate everything kept, recurses on G - U, and stitches
+the results with :func:`lift_model`.
 
 Branches (trace names in parentheses):
 
@@ -176,17 +177,13 @@ class C5Partition:
 class _Ctx:
     __slots__ = ("config", "trace")
 
-    def __init__(self, config: ExtractionConfig, trace: Trace | None):
-        self.config = config
+    def __init__(self, config: ExtractionConfig | None, trace: Trace | None):
+        self.config = config or ExtractionConfig()
         self.trace = trace
 
     def record(self, depth: int, branch: str, **extra) -> None:
         if self.trace is not None:
             self.trace.record(depth, branch, **extra)
-
-
-def _default_ctx(config: ExtractionConfig | None, trace: Trace | None) -> _Ctx:
-    return _Ctx(config or ExtractionConfig(), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +221,32 @@ def lift_model(g: Graph, prefix: MinorModel, residual: MinorModel, residual_quot
 # recursion plumbing
 # ---------------------------------------------------------------------------
 
-def _recurse(g: Graph, keep: int, ctx: _Ctx, depth: int) -> MinorModel:
-    """Extract on the induced subgraph ``keep`` and map back to g's labels."""
-    sub, verts = induced_subgraph(g, keep)
+def _reduce(
+    g: Graph, prefix: MinorModel, removed: int, chi: int, ctx: _Ctx, depth: int, branch: str, **extra
+) -> MinorModel:
+    """One reduction step: recurse on G - ``removed`` and put ``prefix`` in front.
+
+    The prefix sets must dominate every kept vertex; :func:`lift_model`
+    re-checks that while keeping the last chi - len(prefix) residual sets.
+    The trace event names the branch and records the prefix and the removed set.
+    """
+    sub, verts = induced_subgraph(g, g.full_mask & ~removed)
     if sub.n >= g.n:
         raise InternalContradictionError("recursion must shrink the graph", {"n": g.n}, depth)
-    _, model = _extract(sub, ctx, depth + 1)
-    return tuple(relabel_mask(t, verts) for t in model)
+    _, residual = _extract(sub, ctx, depth + 1)
+    residual = tuple(relabel_mask(t, verts) for t in residual)
+    model = lift_model(g, prefix, residual, max(0, chi - len(prefix)))
+    ctx.record(depth, branch, **extra, prefix=[set_to_list(t) for t in prefix], removed=set_to_list(removed))
+    return model
+
+
+def _attached(g: Graph, cmask: int) -> tuple[int, int]:
+    """Split the vertices outside ``cmask`` into (anticomplete to it, attached to it)."""
+    outside = g.full_mask & ~cmask
+    iso = outside
+    for v in bits(cmask):
+        iso &= ~g.adj[v]
+    return iso, outside & ~iso
 
 
 def _finish(g: Graph, chi: int, model: MinorModel, ctx: _Ctx, depth: int) -> MinorModel:
@@ -286,17 +302,9 @@ def _apex_or_complete(
     d2 = mask_of((b2, b3))
     a1 = full & ~vb & ~g.adj[b1] & ~g.adj[b] & ~g.adj[bp]
     a2 = full & ~vb & ~a1 & ~g.adj[b2] & ~g.adj[b3]
-    removed = vb | a1 | a2
-    residual = _recurse(g, full & ~removed, ctx, depth)
-    model = lift_model(g, (d1, d2), residual, max(0, chi - 2))
-    ctx.record(
-        depth,
-        "banner_completed",
-        banner=list(banner),
-        removed=set_to_list(removed),
-        prefix=[set_to_list(d1), set_to_list(d2)],
+    return Completed(
+        _reduce(g, (d1, d2), vb | a1 | a2, chi, ctx, depth, "banner_completed", banner=list(banner))
     )
-    return Completed(model)
 
 
 def _banner_step(
@@ -333,7 +341,7 @@ def banner_step(
         raise ValueError("embedding is not an induced banner of the host")
     if chi is None:
         chi, _ = chromatic_number(g)
-    return _banner_step(g, banner.vertices, chi, _default_ctx(config, trace), 0)
+    return _banner_step(g, banner.vertices, chi, _Ctx(config, trace), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +353,7 @@ def _c4_reduction(
 ) -> MinorModel:
     v1, v2, v3, v4 = c4
     cmask = mask_of(c4)
-    full = g.full_mask
-    iso = full & ~cmask
-    for v in c4:
-        iso &= ~g.adj[v]
-    h = full & ~cmask & ~iso
+    iso, h = _attached(g, cmask)
     for v in bits(h):
         _require(
             (g.adj[v] & cmask).bit_count() >= 2,
@@ -357,21 +361,12 @@ def _c4_reduction(
             {"vertex": v, "c4": c4},
             depth,
         )
-    residual = _recurse(g, h, ctx, depth)
     for d1, d2 in (
         (mask_of((v1, v2)), mask_of((v3, v4))),
         (mask_of((v1, v4)), mask_of((v2, v3))),
     ):
         if all(g.adj[v] & d1 and g.adj[v] & d2 for v in bits(h)):
-            model = lift_model(g, (d1, d2), residual, max(0, chi - 2))
-            ctx.record(
-                depth,
-                "c4_reduction",
-                c4=list(c4),
-                prefix=[set_to_list(d1), set_to_list(d2)],
-                removed=set_to_list(cmask | iso),
-            )
-            return model
+            return _reduce(g, (d1, d2), cmask | iso, chi, ctx, depth, "c4_reduction", c4=list(c4))
     raise InternalContradictionError(
         "one opposite-pair split of the 4-cycle must dominate everything kept "
         "(otherwise an induced C5 exists)",
@@ -392,7 +387,7 @@ def c4_reduction_step(
     if not verify_embedding(g, cycle_pattern(4), c4):
         raise ValueError("embedding is not an induced 4-cycle of the host")
     chi, _ = chromatic_number(g)
-    ctx = _default_ctx(config, trace)
+    ctx = _Ctx(config, trace)
     return _finish(g, chi, _c4_reduction(g, c4.vertices, chi, ctx, 0), ctx, 0)
 
 
@@ -422,7 +417,7 @@ def split_graph_model(
     if not is_split_graph(g):
         raise ValueError("split_graph_model requires a split graph")
     chi, _ = chromatic_number(g)
-    return _split_model(g, chi, _default_ctx(config, trace), 0)
+    return _split_model(g, chi, _Ctx(config, trace), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +452,6 @@ def _low_degree_c5(
 ) -> MinorModel:
     c = _normalize_low_degree(g, c5, x, depth)
     ctx.record(depth, "low_degree_c5", c5=list(c), x=x)
-    full = g.full_mask
     cmask = mask_of(c)
 
     banner1 = (x, c[0], c[1], c[2], c[3])
@@ -521,10 +515,7 @@ def _low_degree_c5(
     )
 
     smask = mask_of((x, y, z, u, w))
-    iso = full & ~cmask
-    for v in c:
-        iso &= ~g.adj[v]
-    h = full & ~cmask & ~iso
+    iso, h = _attached(g, cmask)
     pool = h & ~smask
     sieved = 0
     for dk in d:
@@ -533,19 +524,9 @@ def _low_degree_c5(
             if g.adj[v] & dk == 0:
                 ak |= 1 << v
         sieved |= ak
-    keep = full & ~(iso | cmask | smask | sieved)
-    residual = _recurse(g, keep, ctx, depth)
-    model = lift_model(g, d, residual, max(0, chi - 4))
-    ctx.record(
-        depth,
-        "low_degree_k4",
-        c5=list(c),
-        x=x,
-        quad=list(quad),
-        prefix=[set_to_list(t) for t in d],
-        removed=set_to_list(full & ~keep),
+    return _reduce(
+        g, d, iso | cmask | smask | sieved, chi, ctx, depth, "low_degree_k4", c5=list(c), x=x, quad=list(quad)
     )
-    return model
 
 
 def low_degree_c5_step(
@@ -557,7 +538,7 @@ def low_degree_c5_step(
 ) -> MinorModel:
     """Public low-degree branch; (c5, x) should globally minimize the cycle degree."""
     chi, _ = chromatic_number(g)
-    ctx = _default_ctx(config, trace)
+    ctx = _Ctx(config, trace)
     return _finish(g, chi, _low_degree_c5(g, tuple(c5), x, chi, ctx, 0), ctx, 0)
 
 
@@ -599,10 +580,7 @@ def _build_partition(
     c = tuple(c5)
     full = g.full_mask
     cmask = mask_of(c)
-    iso = full & ~cmask
-    for v in c:
-        iso &= ~g.adj[v]
-    h = full & ~cmask & ~iso
+    iso, h = _attached(g, cmask)
 
     j = h
     y = [0] * 5
@@ -635,16 +613,7 @@ def _build_partition(
     # all classes empty: remove cycle plus anticomplete side, three-set prefix
     if ymask == 0:
         prefix = (mask_of((c[0], c[1], c[2])), 1 << c[3], 1 << c[4])
-        residual = _recurse(g, j, ctx, depth)
-        model = lift_model(g, prefix, residual, max(0, chi - 3))
-        ctx.record(
-            depth,
-            "y_empty",
-            c5=list(c),
-            prefix=[set_to_list(t) for t in prefix],
-            removed=set_to_list(cmask | iso),
-        )
-        return Completed(model)
+        return Completed(_reduce(g, prefix, cmask | iso, chi, ctx, depth, "y_empty", c5=list(c)))
 
     # a singleton class, or an empty class right after a non-empty one
     for a in range(5):
@@ -669,18 +638,12 @@ def _build_partition(
             variant = "next_empty"
         else:
             continue
-        residual = _recurse(g, h & ~(1 << yv), ctx, depth)
-        model = lift_model(g, prefix, residual, max(0, chi - 3))
-        ctx.record(
-            depth,
-            "y_small",
-            variant=variant,
-            c5=list(c),
-            klass=a,
-            prefix=[set_to_list(t) for t in prefix],
-            removed=set_to_list(cmask | iso | (1 << yv)),
+        return Completed(
+            _reduce(
+                g, prefix, cmask | iso | (1 << yv), chi, ctx, depth, "y_small",
+                variant=variant, c5=list(c), klass=a,
+            )
         )
-        return Completed(model)
 
     # every vertex on the complete side misses at most one vertex per class
     for v in bits(j):
@@ -765,19 +728,11 @@ def _build_partition(
                     {"vertex": x, "set": set_to_list(t)},
                     depth,
                 )
-        residual = _recurse(g, keep, ctx, depth)
-        model = lift_model(g, prefix, residual, max(0, chi - 4))
-        ctx.record(
-            depth,
-            "independent_side_edge",
-            c5=list(c),
-            u=u,
-            v=v,
-            klass=i,
-            prefix=[set_to_list(t) for t in prefix],
-            removed=set_to_list(removed),
+        return Completed(
+            _reduce(
+                g, prefix, removed, chi, ctx, depth, "independent_side_edge", c5=list(c), u=u, v=v, klass=i
+            )
         )
-        return Completed(model)
 
     # a class vertex complete to a consecutive class collapses three classes
     for a in range(5):
@@ -797,19 +752,12 @@ def _build_partition(
                     mask_of((yfar, c[a])),
                 )
                 smask = mask_of((c[a], cnb, cfar, yv, ynb, yfar))
-                residual = _recurse(g, full & ~smask & ~iso, ctx, depth)
-                model = lift_model(g, prefix, residual, max(0, chi - 3))
-                ctx.record(
-                    depth,
-                    "y_complete_neighbor",
-                    c5=list(c),
-                    klass=a,
-                    direction=direction,
-                    vertex=yv,
-                    prefix=[set_to_list(t) for t in prefix],
-                    removed=set_to_list(smask | iso),
+                return Completed(
+                    _reduce(
+                        g, prefix, smask | iso, chi, ctx, depth, "y_complete_neighbor",
+                        c5=list(c), klass=a, direction=direction, vertex=yv,
+                    )
                 )
-                return Completed(model)
 
     sizes = [y[i].bit_count() for i in range(5)]
     _require(
@@ -856,7 +804,7 @@ def build_c5_partition(
 ) -> MinorModel | C5Partition:
     """Public partition builder; returns a finished model if a side branch fires."""
     chi, _ = chromatic_number(g)
-    ctx = _default_ctx(config, trace)
+    ctx = _Ctx(config, trace)
     out = _build_partition(g, tuple(c5), chi, ctx, 0)
     if isinstance(out, Completed):
         return _finish(g, chi, out.model, ctx, 0)
@@ -946,18 +894,10 @@ def _final_construction(
                 {"vertex": v, "set": set_to_list(t)},
                 depth,
             )
-    residual = _recurse(g, keep, ctx, depth)
-    model = lift_model(g, tuple(d), residual, max(0, chi - (2 * m + 2)))
-    ctx.record(
-        depth,
-        "final_construction",
-        m=m,
-        parity="even" if r == 0 else "odd",
-        c5=list(c),
-        prefix=[set_to_list(t) for t in d],
-        removed=set_to_list(rmask | part.independent),
+    return _reduce(
+        g, tuple(d), rmask | part.independent, chi, ctx, depth, "final_construction",
+        m=m, parity="even" if r == 0 else "odd", c5=list(c),
     )
-    return model
 
 
 def final_construction(
@@ -969,7 +909,7 @@ def final_construction(
     if part.m < 2:
         raise ValueError("final_construction requires class size m >= 2")
     chi, _ = chromatic_number(g)
-    ctx = _default_ctx(config, trace)
+    ctx = _Ctx(config, trace)
     return _finish(g, chi, _final_construction(g, part, chi, ctx, 0), ctx, 0)
 
 
@@ -1011,15 +951,17 @@ def _extract(g: Graph, ctx: _Ctx, depth: int) -> tuple[int, MinorModel]:
         ctx.record(depth, "empty")
         return 0, ()
     chi, _ = chromatic_number(g)
-    omega, cmask = clique_number(g)
+    return chi, _finish(g, chi, _branch(g, chi, ctx, depth), ctx, depth)
 
+
+def _branch(g: Graph, chi: int, ctx: _Ctx, depth: int) -> MinorModel:
+    """The case analysis on a non-empty graph; returns at least chi sets."""
+    omega, cmask = clique_number(g)
     if omega >= chi:
         if find_induced_cycle(g, 4) is None and not has_induced_c5(g):
-            model = _split_model(g, chi, ctx, depth)
-        else:
-            model = tuple(1 << v for v in set_to_list(cmask)[:chi])
-            ctx.record(depth, "clique", clique=set_to_list(cmask)[:chi])
-        return chi, _finish(g, chi, model, ctx, depth)
+            return _split_model(g, chi, ctx, depth)
+        ctx.record(depth, "clique", clique=set_to_list(cmask)[:chi])
+        return tuple(1 << v for v in set_to_list(cmask)[:chi])
 
     first_c5, low = _scan_c5s(g, ctx.config.c5_cap, depth)
 
@@ -1033,20 +975,20 @@ def _extract(g: Graph, ctx: _Ctx, depth: int) -> tuple[int, MinorModel]:
                     {"banner": list(b.vertices)},
                     depth,
                 )
-            return chi, _finish(g, chi, out.model, ctx, depth)
+            return out.model
         c4 = find_induced_cycle(g, 4)
         if c4 is not None:
-            return chi, _finish(g, chi, _c4_reduction(g, c4.vertices, chi, ctx, depth), ctx, depth)
+            return _c4_reduction(g, c4.vertices, chi, ctx, depth)
         # {2K2, C4, C5}-free, hence split; omega >= chi should have caught it
-        return chi, _finish(g, chi, _split_model(g, chi, ctx, depth), ctx, depth)
+        return _split_model(g, chi, ctx, depth)
 
     if low is not None:
-        return chi, _finish(g, chi, _low_degree_c5(g, low[0], low[1], chi, ctx, depth), ctx, depth)
+        return _low_degree_c5(g, low[0], low[1], chi, ctx, depth)
 
     out = _build_partition(g, first_c5, chi, ctx, depth)
     if isinstance(out, Completed):
-        return chi, _finish(g, chi, out.model, ctx, depth)
-    return chi, _finish(g, chi, _final_construction(g, out, chi, ctx, depth), ctx, depth)
+        return out.model
+    return _final_construction(g, out, chi, ctx, depth)
 
 
 def extract_dominating(
@@ -1064,7 +1006,7 @@ def extract_dominating(
     w = find_2k2(g)
     if w is not None:
         raise Not2K2FreeError(w.vertices)
-    ctx = _default_ctx(config, trace)
+    ctx = _Ctx(config, trace)
     chi, model = _extract(g, ctx, 0)
     report = verify_dominating_model(g, model)
     if len(model) != chi or not report.valid:

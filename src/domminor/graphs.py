@@ -305,20 +305,18 @@ def neighbors_of_set(g: Graph, s: int) -> int:
     return out
 
 
+def _reach(g: Graph, start: int, within: int) -> int:
+    """The vertices of ``within`` reachable from ``start`` inside it (one BFS)."""
+    seen = frontier = start
+    while frontier:
+        frontier = neighbors_of_set(g, frontier) & within & ~seen
+        seen |= frontier
+    return seen
+
+
 def is_connected_set(g: Graph, s: int) -> bool:
     """True iff ``s`` is non-empty and induces a connected subgraph."""
-    if s == 0:
-        return False
-    start = s & -s
-    seen = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & s & ~seen
-        seen |= frontier
-    return seen == s
+    return s != 0 and _reach(g, s & -s, s) == s
 
 
 def connected_components(g: Graph) -> list[int]:
@@ -326,17 +324,9 @@ def connected_components(g: Graph) -> list[int]:
     remaining = g.full_mask
     comps = []
     while remaining:
-        start = remaining & -remaining
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & remaining & ~seen
-            seen |= frontier
-        comps.append(seen)
-        remaining &= ~seen
+        comp = _reach(g, remaining & -remaining, remaining)
+        comps.append(comp)
+        remaining &= ~comp
     return comps
 
 

@@ -7,7 +7,14 @@ identical final record multiset; worker processes only change record order
 timing, never content.  Any counterexample verdict is re-checked once more,
 single-threaded and with the time budget removed, before it is reported.
 
-Checks:
+The checkpoint also stores a fingerprint of its run: the checks, filter,
+search cap and time budget, and the sha256 of the input lines it consumed.
+A resume is refused when a stored field differs, or when the output file
+holds fewer bytes than the checkpoint counted, since records would be lost.
+
+Checks live in the ``_CHECKS`` table (name -> function).  The checks of one
+record share a facts object, so between them they compute chi, its coloring
+and the 2K2 test at most once per graph.  The checks:
 
 * ``dominating-hadwiger``: compute chi, then search exhaustively for a
   dominating K_chi minor; absence is a conjecture counterexample and carries
@@ -23,12 +30,23 @@ Checks:
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+
+try:  # CPython's own sha256; hashlib's would load OpenSSL, which adds about
+    from _sha2 import sha256  # 4 MB of resident memory to every hunt process
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python < 3.12
+    except ImportError:
+        from hashlib import sha256
 
 from .exact import (
     DEFAULT_SEARCH_CAP,
@@ -46,7 +64,6 @@ from .extraction import ExtractionError, extract_dominating, extract_ordinary_mi
 from .graphs import Graph, GraphError, parse_graph6
 from .patterns import find_2k2
 
-KNOWN_CHECKS = ("dominating-hadwiger", "extraction", "ordinary-minor", "t3-equivalence")
 KNOWN_FILTERS = ("2k2-free",)
 
 VERDICTS = ("holds", "counterexample", "skipped-filter", "timeout", "capacity", "parse-error")
@@ -68,7 +85,6 @@ class HuntConfig:
     checkpoint_path: str | None = None
     time_budget_s: float | None = 60.0  # per graph; None disables
     exact_cap: int = DEFAULT_SEARCH_CAP
-    graph6_cap: int = 512
 
     def validate(self) -> None:
         if self.workers < 1:
@@ -116,67 +132,93 @@ class HuntRecord:
 # per-graph checking
 # ---------------------------------------------------------------------------
 
-def _run_check(
-    name: str, g: Graph, cap: int, remaining: float | None
-) -> tuple[str, dict]:
-    """One named check; returns (outcome, detail) with outcome in
-    {ok, violated, capacity, timeout, skipped}."""
+class _Facts:
+    """What the checks of one record share about its graph, each fact
+    computed on first use.
+
+    ``budget`` is the time left when the current check started.  A fact whose
+    computation runs out of it raises and is not kept, so a later check
+    retries it with its own budget.
+    """
+
+    def __init__(self, g: Graph, cap: int):
+        self.g = g
+        self.cap = cap
+        self.budget: float | None = None
+
+    @cached_property
+    def chromatic(self) -> tuple[int, tuple[int, ...]]:
+        """(chi, a proper chi-coloring)."""
+        return chromatic_number(self.g, deadline_s=self.budget)
+
+    @cached_property
+    def witness_2k2(self):
+        return find_2k2(self.g)
+
+
+def _dominating_hadwiger(f: _Facts) -> tuple[str, dict]:
+    g = f.g
+    chi, coloring = f.chromatic
+    if chi == 0:
+        return "ok", {"chi": 0}
+    if g.n > f.cap:
+        return "capacity", {"n": g.n, "cap": f.cap}
+    model = has_dominating_kt(g, chi, cap=f.cap, deadline_s=f.budget)
+    if model is not None:
+        return "ok", {"chi": chi, "dominating_model": model_to_lists(model)}
+    # counterexample certificate: the coloring shows chi(g) <= chi, the
+    # exhausted searches show chi-1 colors and a dominating K_chi are
+    # both impossible
+    lower = _k_colorable(g, chi - 1, Deadline(f.budget)) if chi > 1 else None
+    return "violated", {
+        "chi": chi,
+        "coloring": list(coloring),
+        "k_minus_one_colorable": lower is not None,
+        "dominating_model_found": False,
+    }
+
+
+def _extractor_check(f: _Facts, extract, verify) -> tuple[str, dict]:
+    """On a 2K2-free graph, the extractor's model must have chi sets and pass
+    the verifier."""
+    if f.witness_2k2 is not None:
+        return "skipped", {"reason": "not 2k2-free"}
+    chi, _ = f.chromatic
     try:
-        if name == "dominating-hadwiger":
-            chi, coloring = chromatic_number(g, deadline_s=remaining)
-            if chi == 0:
-                return "ok", {"chi": 0}
-            if g.n > cap:
-                return "capacity", {"n": g.n, "cap": cap}
-            model = has_dominating_kt(g, chi, cap=cap, deadline_s=remaining)
-            if model is not None:
-                return "ok", {"chi": chi, "dominating_model": model_to_lists(model)}
-            # counterexample certificate: the coloring shows chi(g) <= chi, the
-            # exhausted searches show chi-1 colors and a dominating K_chi are
-            # both impossible
-            lower = _k_colorable(g, chi - 1, Deadline(remaining)) if chi > 1 else None
-            return "violated", {
-                "chi": chi,
-                "coloring": list(coloring),
-                "k_minus_one_colorable": lower is not None,
-                "dominating_model_found": False,
-            }
-        if name == "extraction":
-            if find_2k2(g) is not None:
-                return "skipped", {"reason": "not 2k2-free"}
-            chi, _ = chromatic_number(g, deadline_s=remaining)
-            try:
-                model = extract_dominating(g)
-            except ExtractionError as exc:
-                return "violated", {"error": str(exc)}
-            ok = len(model) == chi and verify_dominating_model(g, model).valid
-            if not ok:
-                return "violated", {"chi": chi, "model": model_to_lists(model)}
-            return "ok", {"chi": chi, "sets": len(model)}
-        if name == "ordinary-minor":
-            if find_2k2(g) is not None:
-                return "skipped", {"reason": "not 2k2-free"}
-            chi, _ = chromatic_number(g, deadline_s=remaining)
-            try:
-                model = extract_ordinary_minor(g)
-            except ExtractionError as exc:
-                return "violated", {"error": str(exc)}
-            ok = len(model) == chi and verify_ordinary_model(g, model).valid
-            if not ok:
-                return "violated", {"chi": chi, "model": model_to_lists(model)}
-            return "ok", {"chi": chi, "sets": len(model)}
-        if name == "t3-equivalence":
-            if g.n > cap:
-                return "capacity", {"n": g.n, "cap": cap}
-            for t in (1, 2, 3):
-                dom = has_dominating_kt(g, t, cap=cap, deadline_s=remaining) is not None
-                ordi = has_kt_minor(g, t, cap=cap, deadline_s=remaining)
-                if dom != ordi:
-                    return "violated", {"t": t, "dominating": dom, "ordinary": ordi}
-            return "ok", {}
-        raise HuntError(f"unknown check {name!r}")
-    except SearchDeadlineExceeded:
-        return "timeout", {"check": name}
+        model = extract(f.g)
+    except ExtractionError as exc:
+        return "violated", {"error": str(exc)}
+    if len(model) != chi or not verify(f.g, model).valid:
+        return "violated", {"chi": chi, "model": model_to_lists(model)}
+    return "ok", {"chi": chi, "sets": len(model)}
+
+
+def _t3_equivalence(f: _Facts) -> tuple[str, dict]:
+    g = f.g
+    if g.n > f.cap:
+        return "capacity", {"n": g.n, "cap": f.cap}
+    for t in (1, 2, 3):
+        dom = has_dominating_kt(g, t, cap=f.cap, deadline_s=f.budget) is not None
+        ordi = has_kt_minor(g, t, cap=f.cap, deadline_s=f.budget)
+        if dom != ordi:
+            return "violated", {"t": t, "dominating": dom, "ordinary": ordi}
+    return "ok", {}
+
+
+# Each check returns (outcome, detail) with outcome in {ok, violated,
+# capacity, skipped}; running out of time raises SearchDeadlineExceeded.  The
+# bodies name the package functions they call, so those are looked up at call
+# time (where tracers and test doubles replace them).
+_CHECKS = {
+    "dominating-hadwiger": _dominating_hadwiger,
+    "extraction": lambda f: _extractor_check(f, extract_dominating, verify_dominating_model),
+    "ordinary-minor": lambda f: _extractor_check(f, extract_ordinary_minor, verify_ordinary_model),
+    "t3-equivalence": _t3_equivalence,
+}
+KNOWN_CHECKS = tuple(_CHECKS)
+
+# the verdict of the strongest outcome among a record's checks, else "holds"
+_PRECEDENCE = (("violated", "counterexample"), ("timeout", "timeout"), ("capacity", "capacity"))
 
 
 def check_graph(
@@ -187,75 +229,48 @@ def check_graph(
 ) -> tuple[str, int | None, dict]:
     """Run the requested checks; returns (verdict, chi, detail-per-check).
 
-    Verdict precedence: counterexample > timeout > capacity > holds.
+    The checks share one chi, one coloring and one 2K2 test.  Verdict
+    precedence: counterexample > timeout > capacity > holds.  ``chi`` is the
+    first integer chi in any check's detail.
     """
     t0 = time.monotonic()
-
-    def remaining() -> float | None:
-        if time_budget_s is None:
-            return None
-        return max(time_budget_s - (time.monotonic() - t0), 0.001)
-
+    facts = _Facts(g, cap)
     detail: dict = {}
-    outcomes = []
     chi: int | None = None
     for name in checks:
-        outcome, info = _run_check(name, g, cap, remaining())
-        outcomes.append(outcome)
+        if name not in _CHECKS:
+            raise HuntError(f"unknown check {name!r}")
+        if time_budget_s is not None:
+            facts.budget = max(time_budget_s - (time.monotonic() - t0), 0.001)
+        try:
+            outcome, info = _CHECKS[name](facts)
+        except SearchDeadlineExceeded:
+            outcome, info = "timeout", {"check": name}
         detail[name] = {"outcome": outcome, **info}
         if chi is None and isinstance(info.get("chi"), int):
             chi = info["chi"]
-    if "violated" in outcomes:
-        verdict = "counterexample"
-    elif "timeout" in outcomes:
-        verdict = "timeout"
-    elif "capacity" in outcomes:
-        verdict = "capacity"
-    else:
-        verdict = "holds"
+    outcomes = {d["outcome"] for d in detail.values()}
+    verdict = next((v for o, v in _PRECEDENCE if o in outcomes), "holds")
     return verdict, chi, detail
 
 
-def _process_line(
-    line_no: int,
-    text: str,
-    checks: tuple[str, ...],
-    graph_filter: str | None,
-    cap: int,
-    budget: float | None,
-    g6cap: int,
-) -> HuntRecord:
+def _process_line(cfg: HuntConfig, line_no: int, text: str) -> HuntRecord:
     t0 = time.monotonic()
     try:
-        g = parse_graph6(text, cap=g6cap)
+        g = parse_graph6(text)
     except GraphError as exc:
         return HuntRecord(line_no, text, "parse-error", detail={"error": str(exc)})
-    if graph_filter == "2k2-free" and find_2k2(g) is not None:
-        return HuntRecord(
-            line_no,
-            text,
-            "skipped-filter",
-            n=g.n,
-            elapsed_ms=int((time.monotonic() - t0) * 1000),
-        )
-    verdict, chi, detail = check_graph(g, checks, cap=cap, time_budget_s=budget)
-    return HuntRecord(
-        line_no,
-        text,
-        verdict,
-        n=g.n,
-        chi=chi,
-        detail=detail,
-        elapsed_ms=int((time.monotonic() - t0) * 1000),
-    )
+    if cfg.graph_filter == "2k2-free" and find_2k2(g) is not None:
+        rec = HuntRecord(line_no, text, "skipped-filter", n=g.n)
+    else:
+        verdict, chi, detail = check_graph(g, cfg.checks, cap=cfg.exact_cap, time_budget_s=cfg.time_budget_s)
+        rec = HuntRecord(line_no, text, verdict, n=g.n, chi=chi, detail=detail)
+    rec.elapsed_ms = int((time.monotonic() - t0) * 1000)
+    return rec
 
 
-def _process_chunk(args) -> list[HuntRecord]:
-    lines, checks, graph_filter, cap, budget, g6cap = args
-    return [
-        _process_line(no, text, checks, graph_filter, cap, budget, g6cap)
-        for no, text in lines
-    ]
+def _process_chunk(cfg: HuntConfig, lines: list[tuple[int, str]]) -> list[HuntRecord]:
+    return [_process_line(cfg, no, text) for no, text in lines]
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +284,13 @@ class HuntSummary:
     counterexamples: list = field(default_factory=list)
     elapsed_s: float = 0.0
     graphs_per_s: float = 0.0
+
+    def add(self, verdict: str, graph6: str) -> None:
+        """Count one record."""
+        self.total += 1
+        self.verdicts[verdict] = self.verdicts.get(verdict, 0) + 1
+        if verdict == "counterexample":
+            self.counterexamples.append(graph6)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -287,37 +309,64 @@ class HuntSummary:
         return 2 if self.verdicts.get("counterexample", 0) else 0
 
 
-def _read_checkpoint(path: str | None) -> tuple[int, int]:
-    if path is None or not os.path.exists(path):
-        return 0, 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return int(data["next_line"]), int(data["output_bytes"])
-    except (ValueError, KeyError, OSError) as exc:
-        raise HuntError(f"unreadable checkpoint {path}: {exc}") from exc
+class _Checkpoint:
+    """The resume point of a run: the next input line, the output bytes
+    written before it, and a fingerprint of the run (the settings that shape
+    its records, and the sha256 of the input lines consumed so far)."""
 
+    def __init__(self, cfg: HuntConfig, lines: list[str]):
+        self.cfg = cfg
+        self.path = cfg.checkpoint_path
+        self.lines = lines
+        self._sha = sha256()
+        self._hashed = 0  # input lines fed to _sha
 
-def _write_checkpoint(path: str | None, next_line: int, output_bytes: int) -> None:
-    if path is None:
-        return
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"next_line": next_line, "output_bytes": output_bytes}, fh)
-    os.replace(tmp, path)
+    def _fields(self, next_line: int, output_bytes: int) -> dict:
+        for ln in self.lines[self._hashed : max(next_line - 1, 0)]:
+            self._sha.update(ln.encode() + b"\n")
+        self._hashed = max(next_line - 1, self._hashed)
+        cfg = self.cfg
+        return {"next_line": next_line, "output_bytes": output_bytes, "checks": list(cfg.checks),
+                "graph_filter": cfg.graph_filter, "exact_cap": cfg.exact_cap,
+                "time_budget_s": cfg.time_budget_s, "input_sha256": self._sha.hexdigest()}
 
+    def read(self) -> tuple[int, int]:
+        """(next_line, output_bytes) to resume from; (0, 0) without a checkpoint.
 
-def _summarize_records(lines: list[str]) -> HuntSummary:
-    s = HuntSummary()
-    for ln in lines:
-        if not ln.strip():
-            continue
-        rec = json.loads(ln)
-        s.total += 1
-        s.verdicts[rec["verdict"]] = s.verdicts.get(rec["verdict"], 0) + 1
-        if rec["verdict"] == "counterexample":
-            s.counterexamples.append(rec["graph6"])
-    return s
+        Refuses a checkpoint whose stored fingerprint fields differ from this
+        run's (older checkpoints lack some and are checked on the rest), and
+        an output file shorter than the bytes the checkpoint counted.
+        """
+        if self.path is None or not os.path.exists(self.path):
+            return 0, 0
+        try:
+            with open(self.path, encoding="utf-8") as fh:
+                data = json.load(fh)
+            next_line, output_bytes = int(data["next_line"]), int(data["output_bytes"])
+        except (ValueError, KeyError, TypeError, OSError) as exc:
+            raise HuntError(f"unreadable checkpoint {self.path}: {exc}") from exc
+        for key, value in self._fields(next_line, output_bytes).items():
+            if key in data and data[key] != value:
+                raise HuntError(
+                    f"checkpoint {self.path} does not match this run: "
+                    f"{key} is {data[key]!r} there and {value!r} here"
+                )
+        out = self.cfg.output_path
+        size = os.path.getsize(out) if os.path.exists(out) else 0
+        if size < output_bytes:
+            raise HuntError(
+                f"output {out} holds {size} bytes but the checkpoint "
+                f"counted {output_bytes}; its records are lost, so the run cannot resume"
+            )
+        return next_line, output_bytes
+
+    def write(self, next_line: int, output_bytes: int) -> None:
+        if self.path is None:
+            return
+        tmp = self.path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(self._fields(next_line, output_bytes), fh)
+        os.replace(tmp, self.path)
 
 
 def run_hunt(cfg: HuntConfig, record_stream=None) -> HuntSummary:
@@ -340,82 +389,51 @@ def run_hunt(cfg: HuntConfig, record_stream=None) -> HuntSummary:
         except OSError as exc:
             raise HuntError(f"cannot read input: {exc}") from exc
 
+    lines = text.splitlines()
     tasks = [
         (no, ln.strip())
-        for no, ln in enumerate(text.splitlines(), start=1)
+        for no, ln in enumerate(lines, start=1)
         if ln.strip() and not ln.lstrip().startswith("#")
     ]
-
-    next_line, output_bytes = _read_checkpoint(cfg.checkpoint_path)
+    checkpoint = _Checkpoint(cfg, lines)
+    next_line, output_bytes = checkpoint.read()
     pending = [t for t in tasks if t[0] >= next_line]
+    chunks = [pending[i : i + _CHUNK_LINES] for i in range(0, len(pending), _CHUNK_LINES)]
+    unbudgeted = dataclasses.replace(cfg, time_budget_s=None)
 
     summary = HuntSummary()
-    out_fh = None
-    close_out = False
-    if cfg.output_path is not None:
-        mode = "r+" if os.path.exists(cfg.output_path) and next_line > 0 else "w"
-        out_fh = open(cfg.output_path, mode, encoding="utf-8")
-        if mode == "r+":
-            # records before the checkpointed byte stay; later partial output
-            # from an interrupted run is discarded and recomputed
-            out_fh.seek(0)
-            prefix = out_fh.read(output_bytes)
-            summary = _summarize_records(prefix.splitlines())
-            out_fh.truncate(output_bytes)
-            out_fh.seek(output_bytes)
-        close_out = True
-    elif record_stream is not None:
-        out_fh = record_stream
-    else:
-        out_fh = sys.stdout
-
-    def emit(batch: list[HuntRecord]) -> None:
-        nonlocal output_bytes
-        for rec in batch:
-            out_fh.write(rec.to_json() + "\n")
-            summary.total += 1
-            summary.verdicts[rec.verdict] = summary.verdicts.get(rec.verdict, 0) + 1
-            if rec.verdict == "counterexample":
-                summary.counterexamples.append(rec.graph6)
-        out_fh.flush()
-        if close_out:
-            output_bytes = out_fh.tell()
-
-    def finalize(batch: list[HuntRecord]) -> list[HuntRecord]:
-        # counterexamples are re-checked once, single-threaded, no budget
-        out = []
-        for rec in batch:
-            if rec.verdict == "counterexample":
-                redo = _process_line(
-                    rec.line, rec.graph6, cfg.checks, cfg.graph_filter,
-                    cfg.exact_cap, None, cfg.graph6_cap,
-                )
-                redo.detail = (redo.detail or {}) | {"rechecked": True}
-                rec = redo
-            out.append(rec)
-        return out
-
-    args = (cfg.checks, cfg.graph_filter, cfg.exact_cap, cfg.time_budget_s, cfg.graph6_cap)
-    chunks = [
-        (pending[i : i + _CHUNK_LINES], *args) for i in range(0, len(pending), _CHUNK_LINES)
-    ]
-
-    try:
-        if cfg.workers == 1:
-            batches = map(_process_chunk, chunks)
-            for chunk, batch in zip(chunks, batches):
-                batch = finalize(batch)
-                emit(batch)
-                _write_checkpoint(cfg.checkpoint_path, chunk[0][-1][0] + 1, output_bytes)
+    with contextlib.ExitStack() as stack:
+        if cfg.output_path is not None:
+            resume = next_line > 0 and os.path.exists(cfg.output_path)
+            out_fh = stack.enter_context(open(cfg.output_path, "r+" if resume else "w", encoding="utf-8"))
+            if resume:
+                # records before the checkpointed byte stay; later partial output
+                # from an interrupted run is discarded and recomputed
+                try:
+                    for ln in out_fh.read(output_bytes).splitlines():
+                        if ln.strip():
+                            rec = json.loads(ln)
+                            summary.add(rec["verdict"], rec["graph6"])
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise HuntError(f"unreadable record before the checkpoint in {cfg.output_path}: {exc}") from exc
+                out_fh.truncate(output_bytes)
+                out_fh.seek(output_bytes)
         else:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                for chunk, batch in zip(chunks, pool.map(_process_chunk, chunks)):
-                    batch = finalize(batch)
-                    emit(batch)
-                    _write_checkpoint(cfg.checkpoint_path, chunk[0][-1][0] + 1, output_bytes)
-    finally:
-        if close_out:
-            out_fh.close()
+            out_fh = record_stream if record_stream is not None else sys.stdout
+
+        run = stack.enter_context(ProcessPoolExecutor(cfg.workers)).map if cfg.workers > 1 else map
+        for chunk, batch in zip(chunks, run(partial(_process_chunk, cfg), chunks)):
+            for rec in batch:
+                if rec.verdict == "counterexample":
+                    # counterexamples are re-checked once, single-threaded, no budget
+                    rec = _process_line(unbudgeted, rec.line, rec.graph6)
+                    rec.detail = (rec.detail or {}) | {"rechecked": True}
+                out_fh.write(rec.to_json() + "\n")
+                summary.add(rec.verdict, rec.graph6)
+            out_fh.flush()
+            if cfg.output_path is not None:
+                output_bytes = out_fh.tell()
+            checkpoint.write(chunk[-1][0] + 1, output_bytes)
 
     summary.elapsed_s = time.monotonic() - t0
     if summary.elapsed_s > 0:

@@ -191,3 +191,25 @@ class TestHuntCommand:
         code, obj = run_json(capsys, "hunt", "--checkpoint", str(ckpt))
         assert code == 1 and "--output" in obj["error"]
         assert not ckpt.exists()
+
+    def test_hunt_resume_without_its_output_exit_1(self, capsys, tmp_path):
+        corpus = tmp_path / "c.g6"
+        corpus.write_text("Dhc\nA_\n")
+        out = tmp_path / "r.jsonl"
+        ckpt = tmp_path / "ck.json"
+        args = ("hunt", "--input", str(corpus), "--output", str(out), "--checkpoint", str(ckpt))
+        assert run(capsys, *args)[0] == 0
+        out.unlink()
+        code, obj = run_json(capsys, *args)
+        assert code == 1 and "counted" in obj["error"]
+        assert not out.exists()
+
+    def test_hunt_resume_with_other_checks_exit_1(self, capsys, tmp_path):
+        corpus = tmp_path / "c.g6"
+        corpus.write_text("Dhc\nA_\n")
+        out = tmp_path / "r.jsonl"
+        ckpt = tmp_path / "ck.json"
+        args = ("hunt", "--input", str(corpus), "--output", str(out), "--checkpoint", str(ckpt))
+        assert run(capsys, *args)[0] == 0
+        code, obj = run_json(capsys, *args, "--checks", "t3-equivalence")
+        assert code == 1 and "checks" in obj["error"]

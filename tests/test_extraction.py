@@ -1,14 +1,19 @@
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    c5_blowup,
     complete_neighbor_host,
     final_host,
     forced_k4_host,
     pendant_class_host,
+    pentagon,
     singleton_class_host,
     wheel5,
 )
@@ -50,7 +55,7 @@ from domminor.generators import (
     t_graph,
     two_k2,
 )
-from domminor.graphs import complement, from_edge_list, mask_of
+from domminor.graphs import complement, emit_graph6, from_edge_list, mask_of, parse_graph6
 from domminor.patterns import find_banner, find_induced_cycle, is_2k2_free
 
 DEBUG = ExtractionConfig(verify_steps=True)
@@ -367,3 +372,33 @@ class TestOrdinaryExtraction:
             chi, _ = chromatic_number(g)
             assert len(model) == chi
             assert verify_ordinary_model(g, model).valid
+
+
+class TestPinnedExtraction:
+    # md5 over "graph6 model trace" lines, with each trace event's keys
+    # sorted, for the 3,161 2K2-free atlas graphs (n <= 8) and every crafted
+    # host in helpers.py; together they reach all eight reduction branches.
+    # Pinned from the implementation that wrote each reduction step out in full.
+    DIGEST = "169f2197f579cad3dac732a329a7131f"
+
+    def test_atlas_and_hosts_digest(self):
+        data = Path(__file__).parent / "data"
+        atlas = [ln for n in range(9) for ln in (data / f"graphs{n}.g6").read_text().split()]
+        free = [s for s in atlas if is_2k2_free(parse_graph6(s))]
+        assert len(free) == 3161
+        hosts = [
+            wheel5(), singleton_class_host(), forced_k4_host(), c5_blowup(2), c5_blowup(3),
+            final_host(2), final_host(3), complete_neighbor_host(), pendant_class_host(), pentagon(),
+        ]
+        h = hashlib.md5()
+        branches = set()
+        for s in free + [emit_graph6(g) for g in hosts]:
+            tr = Trace()
+            model = extract_dominating(parse_graph6(s), trace=tr)
+            h.update(f"{s} {list(model)} {json.dumps(tr.events, sort_keys=True)}\n".encode())
+            branches |= tr.branches()
+        assert {
+            "banner_completed", "c4_reduction", "low_degree_k4", "y_empty", "y_small",
+            "independent_side_edge", "y_complete_neighbor", "final_construction",
+        } <= branches
+        assert h.hexdigest() == self.DIGEST

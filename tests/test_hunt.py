@@ -1,8 +1,11 @@
+import hashlib
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from domminor.exact import has_dominating_kt
+from domminor.exact import SearchDeadlineExceeded, has_dominating_kt
 from domminor.generators import cycle, one_subdivision_complete, random_gnp
 from domminor.graphs import emit_graph6
 from domminor.hunt import (
@@ -13,6 +16,8 @@ from domminor.hunt import (
 )
 
 CORPUS = "Dhc\nA_\nC`\n"  # C5, K2, 2K2
+ALL_CHECKS = ("dominating-hadwiger", "extraction", "ordinary-minor", "t3-equivalence")
+DATA = Path(__file__).parent / "data"
 
 
 def read_records(path):
@@ -226,3 +231,147 @@ class TestRunHunt:
         assert summary.counterexamples == ["Dhc", "A_", "C`"]
         recs = read_records(out)
         assert all(r["detail"]["rechecked"] for r in recs)
+
+
+class TestSharedFacts:
+    def count_calls(self, monkeypatch, *names, fail_first=()):
+        """Count calls to hunt's own bindings of the named functions; those in
+        ``fail_first`` run out of time on their first call."""
+        import domminor.hunt as hm
+
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*a, **k):
+                calls[name] += 1
+                if name in fail_first and calls[name] == 1:
+                    raise SearchDeadlineExceeded()
+                return fn(*a, **k)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(hm, name, counted(name, getattr(hm, name)))
+        return calls
+
+    def test_one_chi_and_one_2k2_test_per_record(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "chromatic_number", "find_2k2")
+        verdict, chi, detail = check_graph(cycle(5), ALL_CHECKS)
+        assert (verdict, chi) == ("holds", 3)
+        assert all(d["outcome"] == "ok" for d in detail.values())
+        assert calls == {"chromatic_number": 1, "find_2k2": 1}
+
+    def test_timed_out_fact_is_retried_by_the_next_check(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "chromatic_number", fail_first=("chromatic_number",))
+        verdict, chi, detail = check_graph(cycle(5), ("dominating-hadwiger", "extraction"))
+        assert detail["dominating-hadwiger"] == {"outcome": "timeout", "check": "dominating-hadwiger"}
+        assert detail["extraction"] == {"outcome": "ok", "chi": 3, "sets": 3}
+        assert (verdict, chi) == ("timeout", 3)
+        assert calls == {"chromatic_number": 2}
+
+    def test_capacity_outcome_carries_no_chi(self):
+        g = one_subdivision_complete(6)  # n = 21 > default cap
+        verdict, chi, detail = check_graph(g, ("dominating-hadwiger", "t3-equivalence"))
+        assert (verdict, chi) == ("capacity", None)
+        assert all("chi" not in d for d in detail.values())
+
+
+class TestPinnedRecords:
+    # md5 of every record (minus elapsed_ms, keys sorted) of a hunt with all
+    # four checks over the atlas graphs with n <= 7, pinned from the
+    # implementation that ran the checks through an if-chain, each one
+    # computing its own chi and 2K2 test
+    DIGEST = "ad8dd1ff00bca9db2ab1945188d147f9"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_atlas_records_digest(self, tmp_path, workers):
+        corpus = tmp_path / "atlas.g6"
+        corpus.write_text("".join((DATA / f"graphs{n}.g6").read_text() for n in range(8)))
+        out = tmp_path / "r.jsonl"
+        summary = run_hunt(
+            HuntConfig(input_path=str(corpus), output_path=str(out), checks=ALL_CHECKS, workers=workers)
+        )
+        assert summary.total == 1253 and summary.verdicts == {"holds": 1253}
+        h = hashlib.md5()
+        for rec in read_records(out):
+            del rec["elapsed_ms"]
+            h.update((json.dumps(rec, sort_keys=True) + "\n").encode())
+        assert h.hexdigest() == self.DIGEST
+
+
+class TestCheckpointRefusals:
+    LINES = [emit_graph6(cycle(n)) for n in (3, 4, 5, 6, 7)] * 8  # 40 lines
+
+    def interrupted(self, tmp_path):
+        """A checkpointed run over the first 17 lines; returns (full input,
+        output, checkpoint) for a resume."""
+        full = tmp_path / "c.g6"
+        full.write_text("\n".join(self.LINES) + "\n")
+        prefix = tmp_path / "prefix.g6"
+        prefix.write_text("\n".join(self.LINES[:17]) + "\n")
+        out = tmp_path / "r.jsonl"
+        ckpt = tmp_path / "ckpt.json"
+        run_hunt(HuntConfig(input_path=str(prefix), output_path=str(out), checkpoint_path=str(ckpt)))
+        return full, out, ckpt
+
+    def test_checkpoint_holds_the_fingerprint(self, tmp_path):
+        _, _, ckpt = self.interrupted(tmp_path)
+        data = json.loads(ckpt.read_text())
+        consumed = "".join(ln + "\n" for ln in self.LINES[:17]).encode()
+        assert data == {
+            "next_line": 18,
+            "output_bytes": data["output_bytes"],
+            "checks": ["dominating-hadwiger"],
+            "graph_filter": None,
+            "exact_cap": 16,
+            "time_budget_s": 60.0,
+            "input_sha256": hashlib.sha256(consumed).hexdigest(),
+        }
+
+    @pytest.mark.parametrize("damage", ["delete", "halve"])
+    def test_refuses_output_shorter_than_checkpointed(self, tmp_path, damage):
+        full, out, ckpt = self.interrupted(tmp_path)
+        if damage == "delete":
+            out.unlink()
+        else:
+            out.write_bytes(out.read_bytes()[: out.stat().st_size // 2])
+        kept = out.read_bytes() if out.exists() else None
+        cfg = HuntConfig(input_path=str(full), output_path=str(out), checkpoint_path=str(ckpt))
+        with pytest.raises(HuntError, match="counted"):
+            run_hunt(cfg)
+        assert (out.read_bytes() if out.exists() else None) == kept
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("checks", ("t3-equivalence",)),
+            ("graph_filter", "2k2-free"),
+            ("exact_cap", 12),
+            ("time_budget_s", 5.0),
+        ],
+    )
+    def test_refuses_other_settings(self, tmp_path, field, value):
+        full, out, ckpt = self.interrupted(tmp_path)
+        before = out.read_bytes()
+        cfg = HuntConfig(input_path=str(full), output_path=str(out), checkpoint_path=str(ckpt), **{field: value})
+        with pytest.raises(HuntError, match=field):
+            run_hunt(cfg)
+        assert out.read_bytes() == before
+
+    def test_refuses_other_consumed_input(self, tmp_path):
+        full, out, ckpt = self.interrupted(tmp_path)
+        lines = list(self.LINES)
+        lines[3] = emit_graph6(cycle(8))  # inside the consumed prefix
+        full.write_text("\n".join(lines) + "\n")
+        cfg = HuntConfig(input_path=str(full), output_path=str(out), checkpoint_path=str(ckpt))
+        with pytest.raises(HuntError, match="input_sha256"):
+            run_hunt(cfg)
+
+    def test_accepts_other_input_after_the_consumed_prefix(self, tmp_path):
+        full, out, ckpt = self.interrupted(tmp_path)
+        lines = list(self.LINES)
+        lines[17] = emit_graph6(cycle(8))  # first line the resume reads
+        full.write_text("\n".join(lines) + "\n")
+        cfg = HuntConfig(input_path=str(full), output_path=str(out), checkpoint_path=str(ckpt))
+        assert run_hunt(cfg).total == 40
+        assert read_records(out)[17]["n"] == 8
