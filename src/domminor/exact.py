@@ -304,32 +304,47 @@ def is_proper_coloring(g: Graph, colors: tuple[int, ...], k: int) -> bool:
 # connected-set enumeration
 # ---------------------------------------------------------------------------
 
-def _connected_sets_of_size(g: Graph, within: int, size: int) -> Iterator[int]:
-    """All connected subsets of `within` with exactly `size` vertices.
+def _connected_sets_with_neighbors(g: Graph, within: int, max_size: int) -> Iterator[tuple[int, int]]:
+    """``(S, N(S))`` for every connected subset S of ``within`` with at most
+    ``max_size`` vertices, where N(S) is the OR of ``adj[v]`` over S.
 
-    Min-rooted growth with a declined-vertex exclusion mask; for a fixed size
-    the emission order is lexicographic on the sorted vertex tuple.
+    Each size is walked on its own, lazily, by min-rooted growth with an
+    explicit stack: a frame is ``(S, N(S), |S|, frontier, banned)``, the
+    frontier holds the vertices still to try in ascending order and
+    ``banned`` the siblings already tried, so no set is reached twice.  A
+    child's N is its parent's N OR ``adj[v]``.  The sets come in the order
+    ``enumerate_connected_sets`` documents; ``within`` must lie inside the
+    vertex set.
     """
-    if size <= 0:
-        return
     adj = g.adj
-
-    def grow(allowed: int, s_mask: int, count: int, frontier: int, banned: int) -> Iterator[int]:
-        if count == size:
-            yield s_mask
-            return
-        fr = frontier
-        while fr:
-            low = fr & -fr
-            fr &= ~low
-            v = low.bit_length() - 1
-            new_frontier = (fr | (adj[v] & allowed)) & ~s_mask & ~low & ~banned
-            yield from grow(allowed, s_mask | low, count + 1, new_frontier, banned)
-            banned |= low
-
-    for root in bits(within):
-        later = within & ~((1 << (root + 1)) - 1)
-        yield from grow(later, 1 << root, 1, g.adj[root] & later, 0)
+    for size in range(1, max_size + 1):
+        allowed = within
+        while allowed:
+            s0 = allowed & -allowed
+            allowed ^= s0  # the root is the set's least vertex
+            nb0 = adj[s0.bit_length() - 1]
+            if size == 1:
+                yield s0, nb0
+                continue
+            stack = [(s0, nb0, 1, nb0 & allowed, 0)] if nb0 & allowed else []
+            while stack:
+                s, nb, count, fr, banned = stack.pop()
+                if count + 1 == size:
+                    # the children are leaves: emit them in order, no frames
+                    while fr:
+                        low = fr & -fr
+                        fr ^= low
+                        yield s | low, nb | adj[low.bit_length() - 1]
+                    continue
+                low = fr & -fr
+                fr ^= low
+                if fr:
+                    stack.append((s, nb, count, fr, banned | low))
+                v = low.bit_length() - 1
+                s |= low
+                child = (fr | (adj[v] & allowed)) & ~s & ~banned
+                if child:
+                    stack.append((s, nb | adj[v], count + 1, child, banned | low))
 
 
 def enumerate_connected_sets(g: Graph, within: int | None = None, max_size: int | None = None) -> Iterator[int]:
@@ -340,8 +355,8 @@ def enumerate_connected_sets(g: Graph, within: int | None = None, max_size: int 
     """
     w = g.full_mask if within is None else within & g.full_mask
     limit = w.bit_count() if max_size is None else min(max_size, w.bit_count())
-    for size in range(1, limit + 1):
-        yield from _connected_sets_of_size(g, w, size)
+    for s, _ in _connected_sets_with_neighbors(g, w, limit):
+        yield s
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +388,9 @@ def has_dominating_kt(
 
     Depth-first over ordered set sequences: T_1 ranges over connected sets;
     candidates for every later set are restricted to vertices adjacent to all
-    sets chosen so far, which makes the domination pruning monotone.
+    sets chosen so far, which makes the domination pruning monotone.  The
+    connected-set walker hands over N(S) with each set S, grown along with S,
+    so the next candidate mask is one AND.
 
     Dead states are memoised.  Whether ``r`` more sets can be chosen depends
     only on the candidate mask ``cand``: it already excludes the chosen sets
@@ -406,11 +423,12 @@ def has_dominating_kt(
         avail = cand.bit_count()
         if avail < remaining or 0 < dead[cand] <= remaining:
             return None
-        for s in enumerate_connected_sets(g, cand, avail - (remaining - 1)):
-            nxt = (cand & ~s) & neighbors_of_set(g, s)
-            if nxt.bit_count() >= remaining - 1:
+        rest = remaining - 1
+        for s, nb in _connected_sets_with_neighbors(g, cand, avail - rest):
+            nxt = cand & ~s & nb
+            if nxt.bit_count() >= rest:
                 chosen.append(s)
-                found = rec(nxt, chosen, remaining - 1)
+                found = rec(nxt, chosen, rest)
                 if found is not None:
                     return found
                 chosen.pop()
@@ -446,10 +464,10 @@ def has_kt_minor(
         avail = g.full_mask & ~used & ~((1 << floor) - 1)
         if avail.bit_count() < remaining:
             return False
-        for s in enumerate_connected_sets(g, avail, avail.bit_count() - (remaining - 1)):
+        for s, nb in _connected_sets_with_neighbors(g, avail, avail.bit_count() - (remaining - 1)):
             if any(s & nm == 0 for nm in nbr_masks):
                 continue
-            nbr_masks.append(neighbors_of_set(g, s))
+            nbr_masks.append(nb)
             if rec(used | s, (s & -s).bit_length(), nbr_masks, remaining - 1):
                 return True
             nbr_masks.pop()

@@ -395,8 +395,8 @@ def c4_reduction_step(
 # split-graph model
 # ---------------------------------------------------------------------------
 
-def _split_model(g: Graph, chi: int, ctx: _Ctx, depth: int) -> MinorModel:
-    omega, cmask = clique_number(g)
+def _split_model(g: Graph, chi: int, omega: int, cmask: int, ctx: _Ctx, depth: int) -> MinorModel:
+    """The clique ``cmask`` of size ``omega`` as singleton branch sets."""
     _require(
         omega == chi,
         "split graphs are perfect, so the clique and chromatic numbers agree",
@@ -417,7 +417,8 @@ def split_graph_model(
     if not is_split_graph(g):
         raise ValueError("split_graph_model requires a split graph")
     chi, _ = chromatic_number(g)
-    return _split_model(g, chi, _Ctx(config, trace), 0)
+    omega, cmask = clique_number(g)
+    return _split_model(g, chi, omega, cmask, _Ctx(config, trace), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -959,7 +960,7 @@ def _branch(g: Graph, chi: int, ctx: _Ctx, depth: int) -> MinorModel:
     omega, cmask = clique_number(g)
     if omega >= chi:
         if find_induced_cycle(g, 4) is None and not has_induced_c5(g):
-            return _split_model(g, chi, ctx, depth)
+            return _split_model(g, chi, omega, cmask, ctx, depth)
         ctx.record(depth, "clique", clique=set_to_list(cmask)[:chi])
         return tuple(1 << v for v in set_to_list(cmask)[:chi])
 
@@ -980,7 +981,7 @@ def _branch(g: Graph, chi: int, ctx: _Ctx, depth: int) -> MinorModel:
         if c4 is not None:
             return _c4_reduction(g, c4.vertices, chi, ctx, depth)
         # {2K2, C4, C5}-free, hence split; omega >= chi should have caught it
-        return _split_model(g, chi, ctx, depth)
+        return _split_model(g, chi, omega, cmask, ctx, depth)
 
     if low is not None:
         return _low_degree_c5(g, low[0], low[1], chi, ctx, depth)

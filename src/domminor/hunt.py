@@ -226,15 +226,19 @@ def check_graph(
     checks: tuple[str, ...],
     cap: int = DEFAULT_SEARCH_CAP,
     time_budget_s: float | None = None,
+    *,
+    _facts: _Facts | None = None,
 ) -> tuple[str, int | None, dict]:
     """Run the requested checks; returns (verdict, chi, detail-per-check).
 
-    The checks share one chi, one coloring and one 2K2 test.  Verdict
-    precedence: counterexample > timeout > capacity > holds.  ``chi`` is the
-    first integer chi in any check's detail.
+    The checks share one chi, one coloring and one 2K2 test; ``_facts``, if
+    given, holds what the caller already knows about ``g`` (the hunt's 2K2
+    filter passes its witness this way).  Verdict precedence: counterexample >
+    timeout > capacity > holds.  ``chi`` is the first integer chi in any
+    check's detail.
     """
     t0 = time.monotonic()
-    facts = _Facts(g, cap)
+    facts = _Facts(g, cap) if _facts is None else _facts
     detail: dict = {}
     chi: int | None = None
     for name in checks:
@@ -260,10 +264,13 @@ def _process_line(cfg: HuntConfig, line_no: int, text: str) -> HuntRecord:
         g = parse_graph6(text)
     except GraphError as exc:
         return HuntRecord(line_no, text, "parse-error", detail={"error": str(exc)})
-    if cfg.graph_filter == "2k2-free" and find_2k2(g) is not None:
+    facts = _Facts(g, cfg.exact_cap)
+    if cfg.graph_filter == "2k2-free" and facts.witness_2k2 is not None:
         rec = HuntRecord(line_no, text, "skipped-filter", n=g.n)
     else:
-        verdict, chi, detail = check_graph(g, cfg.checks, cap=cfg.exact_cap, time_budget_s=cfg.time_budget_s)
+        verdict, chi, detail = check_graph(
+            g, cfg.checks, cap=cfg.exact_cap, time_budget_s=cfg.time_budget_s, _facts=facts
+        )
         rec = HuntRecord(line_no, text, verdict, n=g.n, chi=chi, detail=detail)
     rec.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return rec

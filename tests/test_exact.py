@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -32,8 +33,17 @@ from domminor.generators import (
     path,
     petersen,
     random_2k2_free,
+    random_gnp,
 )
-from domminor.graphs import Graph, complement, from_edge_list, is_connected_set, parse_graph6, set_to_list
+from domminor.graphs import (
+    Graph,
+    complement,
+    from_edge_list,
+    is_connected_set,
+    neighbors_of_set,
+    parse_graph6,
+    set_to_list,
+)
 
 C5 = cycle(5)
 DATA = Path(__file__).parent / "data"
@@ -248,6 +258,28 @@ class TestConnectedSets:
         assert got == list(enumerate_connected_sets(g))
 
 
+class TestConnectedSetWalker:
+    def test_pairs_match_sets_and_neighbourhoods(self):
+        # every atlas graph with n <= 7, on its full vertex set and on two
+        # seeded (within, max_size) pairs; the digest of the pair sequences
+        # was taken from the recursive per-size enumerator it replaced
+        rng = random.Random(7)
+        h = hashlib.md5()
+        count = 0
+        for n in range(8):
+            for line in (DATA / f"graphs{n}.g6").read_text().split():
+                g = parse_graph6(line)
+                pairs = [(g.full_mask, n)] + [(rng.getrandbits(n), rng.randint(0, n)) for _ in range(2)]
+                for within, max_size in pairs:
+                    got = list(exact_mod._connected_sets_with_neighbors(g, within, max_size))
+                    sets = enumerate_connected_sets(g, within, max_size)
+                    assert got == [(s, neighbors_of_set(g, s)) for s in sets]
+                    count += len(got)
+                    h.update(f"{line} {within} {max_size} {got}\n".encode())
+        assert count == 101411
+        assert h.hexdigest() == "4b555643acaf2ef2a29d81f2fb764822"
+
+
 class TestMinorSearch:
     def test_k5_clique_shortcut(self):
         model = has_dominating_kt(complete(5), 5)
@@ -394,3 +426,33 @@ class TestDeadStateMemo:
             has_dominating_kt(C5, 3)
         with pytest.raises(RuntimeError, match="forced failure"):
             dominating_hadwiger_number(complete(3))  # no probe runs; the clique model is checked
+
+
+class TestDeepSearch:
+    # the graphs of the benchmark's hd-dense and hd-sparse lists, whose
+    # searches go many sets deep; the digest of "label hd model" was taken
+    # from the search that rebuilt N(S) for every set
+    GRAPHS = (
+        ("2k2(14,.3,5)", lambda: random_2k2_free(14, 0.3, 5)),
+        ("2k2(14,.3,1)", lambda: random_2k2_free(14, 0.3, 1)),
+        ("2k2(14,.3,2)", lambda: random_2k2_free(14, 0.3, 2)),
+        ("2k2(14,.4,3)", lambda: random_2k2_free(14, 0.4, 3)),
+        ("2k2(13,.4,2)", lambda: random_2k2_free(13, 0.4, 2)),
+        ("2k2(14,.2,4)", lambda: random_2k2_free(14, 0.2, 4)),
+        ("gnp(16,.25,3)", lambda: random_gnp(16, 0.25, 3)),
+        ("gnp(16,.3,5)", lambda: random_gnp(16, 0.3, 5)),
+        ("gnp(16,.2,1)", lambda: random_gnp(16, 0.2, 1)),
+        ("gnp(15,.3,2)", lambda: random_gnp(15, 0.3, 2)),
+        ("gnp(14,.35,1)", lambda: random_gnp(14, 0.35, 1)),
+        ("subdivided K5", lambda: one_subdivision_complete(5)),
+    )
+
+    def test_hd_models_pinned(self):
+        h = hashlib.md5()
+        values = []
+        for label, make in self.GRAPHS:
+            hd, model = dominating_hadwiger_number(make())
+            values.append(hd)
+            h.update(f"{label} {hd} {model}\n".encode())
+        assert values == [8, 7, 7, 9, 8, 8, 5, 5, 5, 5, 5, 3]
+        assert h.hexdigest() == "cedf88ccc92e5963de61767362ea5c41"

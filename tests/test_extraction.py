@@ -402,3 +402,27 @@ class TestPinnedExtraction:
             "independent_side_edge", "y_complete_neighbor", "final_construction",
         } <= branches
         assert h.hexdigest() == self.DIGEST
+
+
+class TestSplitBaseCase:
+    def test_clique_from_branch_is_reused(self, monkeypatch):
+        # the split base case takes omega and the clique that _branch found;
+        # it used to compute them again (4,192 calls over these graphs)
+        import domminor.extraction as ex
+
+        data = Path(__file__).parent / "data"
+        atlas = [parse_graph6(s) for n in range(9) for s in (data / f"graphs{n}.g6").read_text().split()]
+        free = [g for g in atlas if is_2k2_free(g)]
+        calls = 0
+        fresh = ex.clique_number
+
+        def counted(g):
+            nonlocal calls
+            calls += 1
+            return fresh(g)
+
+        monkeypatch.setattr(ex, "clique_number", counted)
+        for g in free:
+            extract_dominating(g)
+        assert len(free) == 3161
+        assert calls == 3269

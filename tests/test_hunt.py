@@ -275,6 +275,20 @@ class TestSharedFacts:
         assert (verdict, chi) == ("capacity", None)
         assert all("chi" not in d for d in detail.values())
 
+    def test_filter_witness_is_shared_with_the_checks(self, monkeypatch, tmp_path):
+        # the 2K2 filter's test is the one the extraction check reads
+        corpus = tmp_path / "small.g6"
+        corpus.write_text("".join((DATA / f"graphs{n}.g6").read_text() for n in range(7)))
+        calls = self.count_calls(monkeypatch, "find_2k2")
+        summary = run_hunt(
+            HuntConfig(
+                input_path=str(corpus), output_path=str(tmp_path / "r.jsonl"),
+                checks=("extraction",), graph_filter="2k2-free",
+            )
+        )
+        assert summary.verdicts == {"holds": 146, "skipped-filter": 63}
+        assert calls == {"find_2k2": 209}
+
 
 class TestPinnedRecords:
     # md5 of every record (minus elapsed_ms, keys sorted) of a hunt with all
