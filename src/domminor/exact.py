@@ -250,7 +250,7 @@ def _k_colorable(g: Graph, k: int, deadline: Deadline) -> list[int] | None:
 def chromatic_number(g: Graph, deadline_s: float | None = None) -> tuple[int, tuple[int, ...]]:
     """Exact chromatic number with a proper witness coloring.
 
-    Sequential k-colorability from a clique lower bound up to the DSATUR
+    Sequential k-colorability from the clique number up to the DSATUR
     greedy upper bound, decomposed over connected components.
     """
     from .graphs import connected_components, induced_subgraph
@@ -263,7 +263,7 @@ def chromatic_number(g: Graph, deadline_s: float | None = None) -> tuple[int, tu
     for comp in connected_components(g):
         sub, verts = induced_subgraph(g, comp)
         ub, greedy = _dsatur_greedy(sub)
-        lb = _greedy_clique_size(sub)
+        lb = clique_number(sub)[0]
         sub_colors = greedy
         sub_k = ub
         for kk in range(lb, ub):
@@ -275,21 +275,6 @@ def chromatic_number(g: Graph, deadline_s: float | None = None) -> tuple[int, tu
             colors[v] = sub_colors[i]
         k = max(k, sub_k)
     return k, tuple(colors)
-
-
-def _greedy_clique_size(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    best = 1
-    for start in range(g.n):
-        size = 1
-        cand = g.adj[start]
-        while cand:
-            v = max(bits(cand), key=lambda u: (g.adj[u] & cand).bit_count())
-            size += 1
-            cand &= g.adj[v]
-        best = max(best, size)
-    return best
 
 
 def is_proper_coloring(g: Graph, colors: tuple[int, ...], k: int) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .graphs import Graph, from_edge_list
-from .patterns import find_2k2
+from .patterns import _scan_2k2, find_2k2
 
 _MASK64 = (1 << 64) - 1
 
@@ -167,19 +167,37 @@ def random_2k2_free(n: int, p: float, seed: int) -> Graph:
 
     Each repair strictly increases the edge count, so the loop terminates; the
     result is re-verified 2K2-free. The repair biases toward denser graphs.
+
+    The witness repaired is always ``find_2k2``'s, but after the first scan
+    each scan resumes instead of restarting. Edges before the last witness's
+    first edge ``(a1, a2)`` had no partner, and an added edge ``uv`` only
+    shrinks non-neighbourhoods, so such an edge can gain a partner only in
+    ``uv``, which needs it to avoid N[u] and N[v]. The next scan therefore
+    starts at the least of ``(a1, a2)``, ``uv`` and the least edge avoiding
+    N[u] and N[v].
     """
     g = random_gnp(n, p, seed)
     rng = SplitMix64(seed ^ 0xD2B74407B1CE6E93)
+    full = g.full_mask
     adj = list(g.adj)
-    while True:
-        g = Graph(n, tuple(adj))
-        w = find_2k2(g)
-        if w is None:
-            break
-        a1, a2, b1, b2 = w.vertices
+    w = find_2k2(g)
+    found = None if w is None else w.vertices
+    while found is not None:
+        a1, a2, b1, b2 = found
         u, v = ((a1, b1), (a1, b2), (a2, b1), (a2, b2))[rng.below(4)]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
+        start = min((a1, a2), (min(u, v), max(u, v)))
+        clear = full & ~adj[u] & ~adj[v]
+        while clear:
+            low = clear & -clear
+            clear ^= low
+            above = adj[low.bit_length() - 1] & clear
+            if above:
+                start = min(start, (low.bit_length() - 1, (above & -above).bit_length() - 1))
+                break
+        found = _scan_2k2(n, adj, *start)
+    g = Graph(n, tuple(adj))
     if find_2k2(g) is not None:
         raise RuntimeError("repair loop returned a graph that still contains a 2K2")
     return g

@@ -8,7 +8,7 @@ pattern's role order, so downstream traces are reproducible vertex by vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import Graph, bits, from_edge_list, mask_of
 
@@ -123,22 +123,48 @@ def find_induced(host: Graph, pattern: Pattern) -> Embedding | None:
     return None
 
 
+def _scan_2k2(n: int, adj: Sequence[int], u0: int, v0: int) -> tuple[int, int, int, int] | None:
+    """First 2K2 witness ``(u, v, w, x)`` of the graph ``(n, adj)`` whose
+    first edge ``(u, v)`` is at or after ``(u0, v0)`` in lexicographic order.
+
+    Edges are scanned as ``(u, v)`` with ``u < v``; the partner ``(w, x)`` of
+    the first edge that has one is the least edge avoiding N[u] and N[v].
+    """
+    full = (1 << n) - 1
+    for u in range(u0, n):
+        row = adj[u]
+        outside_u = full & ~row & ~(1 << u)
+        later = row >> (u + 1) << (u + 1)
+        if u == u0:
+            later &= ~((1 << v0) - 1)
+        while later:
+            low = later & -later
+            later ^= low
+            v = low.bit_length() - 1
+            rest = outside_u & ~adj[v]
+            free = rest
+            # no neighbour of w in rest lies below w: that vertex would have
+            # had w as a neighbour in rest and been returned first; so the
+            # last vertex of rest needs no test
+            while free & (free - 1):
+                lw = free & -free
+                free ^= lw
+                partner = adj[lw.bit_length() - 1] & rest
+                if partner:
+                    return u, v, lw.bit_length() - 1, (partner & -partner).bit_length() - 1
+    return None
+
+
 def find_2k2(host: Graph) -> Embedding | None:
     """Fast scan for two disjoint edges with no edge between them.
 
     Returns roles (a1, a2, b1, b2) with edges a1a2, b1b2, a1 the least vertex
     of any witness, each edge sorted; or ``None``.
     """
-    full = host.full_mask
-    for u, v in host.edges():
-        rest = full & ~host.adj[u] & ~host.adj[v] & ~(1 << u) & ~(1 << v)
-        for w in bits(rest):
-            partner = host.adj[w] & rest
-            partner &= ~((1 << (w + 1)) - 1)
-            if partner:
-                x = (partner & -partner).bit_length() - 1
-                return Embedding(("a1", "a2", "b1", "b2"), (u, v, w, x))
-    return None
+    found = _scan_2k2(host.n, host.adj, 0, 0)
+    if found is None:
+        return None
+    return Embedding(("a1", "a2", "b1", "b2"), found)
 
 
 def is_2k2_free(host: Graph) -> bool:

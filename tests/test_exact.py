@@ -200,6 +200,25 @@ class TestChromatic:
             for assign in itertools.product(range(k), repeat=g.n)
         )
 
+    def test_atlas_and_sweep_colorings_pinned(self):
+        # (chi, coloring) over the atlas graphs with n <= 7 and the first
+        # 156 graphs of criterion 1's corpus; the digest was taken when the
+        # search started from a greedy clique size instead of the clique number
+        h = hashlib.md5()
+        count = 0
+        for n in range(8):
+            for line in (DATA / f"graphs{n}.g6").read_text().split():
+                chi, colors = chromatic_number(parse_graph6(line))
+                h.update(f"{line} {chi} {colors}\n".encode())
+                count += 1
+        for i in range(156):
+            g = random_2k2_free(5 + i % 26, (0.08, 0.15, 0.25, 0.4, 0.6, 0.8)[i % 6], i)
+            chi, colors = chromatic_number(g)
+            h.update(f"{i} {chi} {colors}\n".encode())
+            count += 1
+        assert count == 1409
+        assert h.hexdigest() == "52c81b720a8b629f62b9b494ae8776a5"
+
 
 class TestCliqueIndependence:
     def test_k6(self):

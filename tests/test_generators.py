@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +20,10 @@ from domminor.generators import (
     t_graph,
     two_k2,
 )
-from domminor.graphs import complement
+from domminor.graphs import Graph, complement
 from domminor.patterns import (
     banner_pattern,
+    find_2k2,
     find_banner,
     find_induced,
     has_induced_c5,
@@ -133,3 +136,43 @@ class TestRandom:
 
     def test_banner_pattern_matches_family(self):
         assert banner() == banner_pattern().template
+
+
+class TestResumedRepair:
+    DENSITIES = (0.08, 0.15, 0.25, 0.4, 0.6, 0.8)
+
+    def test_corpus_pinned(self):
+        # criterion 1's first 20 parameter cycles and a small (n, p, seed)
+        # grid; both digests were taken from the loop that restarted
+        # find_2k2 after every added edge
+        h = hashlib.md5()
+        for i in range(1560):
+            g = random_2k2_free(5 + i % 26, self.DENSITIES[i % 6], i)
+            h.update(f"{g.n} {g.adj}\n".encode())
+        assert h.hexdigest() == "7ce2be2f002ba6eac720ea0a79a89570"
+        h = hashlib.md5()
+        for n in range(4, 25, 4):
+            for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+                for seed in range(5):
+                    g = random_2k2_free(n, p, seed)
+                    h.update(f"{g.n} {g.adj}\n".encode())
+        assert h.hexdigest() == "5a0a082f2ba383289d338ab8c597e94f"
+
+    def test_resumed_witness_matches_full_scan(self, monkeypatch):
+        import domminor.generators as gen
+
+        resumed = gen._scan_2k2
+        steps = 0
+
+        def checked(n, adj, u0, v0):
+            nonlocal steps
+            found = resumed(n, adj, u0, v0)
+            full = find_2k2(Graph(n, tuple(adj)))
+            assert found == (full and full.vertices), (n, adj, (u0, v0))
+            steps += 1
+            return found
+
+        monkeypatch.setattr(gen, "_scan_2k2", checked)
+        for i in range(300):
+            random_2k2_free(5 + i % 26, self.DENSITIES[i % 6], 3_000_000 + i)
+        assert steps == 16750

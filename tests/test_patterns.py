@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import domminor.patterns as patterns_mod
 from domminor.graphs import Graph, complement, from_edge_list, mask_of, parse_graph6
 from domminor.patterns import (
     Embedding,
@@ -226,3 +227,24 @@ class TestCorpusInvariants:
         for n in range(8):
             for g in self._corpus(n):
                 assert is_2k2_free(g) == (find_induced_cycle(complement(g), 4) is None)
+
+    def test_scanner_from_every_start_edge(self):
+        # from (0, 0) the scanner gives the lexicographically least induced
+        # 2K2; from any edge it gives the first edge at or after it that has
+        # a partner, with that edge's least partner
+        count = 0
+        for n in range(8):
+            for g in self._corpus(n):
+                edges = list(g.edges())
+                partner = {}
+                for a in edges:
+                    outside = g.full_mask & ~mask_of(a) & ~g.adj[a[0]] & ~g.adj[a[1]]
+                    partner[a] = next((b for b in edges if not mask_of(b) & ~outside), None)
+                emb = find_induced(g, two_k2_pattern())
+                assert patterns_mod._scan_2k2(g.n, g.adj, 0, 0) == (emb and emb.vertices)
+                assert find_2k2(g) == emb
+                for start in [(0, 0)] + edges:
+                    first = next((a + partner[a] for a in edges if a >= start and partner[a]), None)
+                    assert patterns_mod._scan_2k2(g.n, g.adj, *start) == first
+                    count += 1
+        assert count == 13595
