@@ -187,10 +187,11 @@ def _dsatur_greedy(g: Graph) -> tuple[int, list[int]]:
     n = g.n
     colors = [-1] * n
     forbidden = [0] * n  # bitmask of colors used by neighbors
+    deg = [row.bit_count() for row in g.adj]
     for _ in range(n):
         v = max(
             (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (forbidden[u].bit_count(), g.degree(u), -u),
+            key=lambda u: (forbidden[u].bit_count(), deg[u], -u),
         )
         c = 0
         while forbidden[v] >> c & 1:
@@ -208,6 +209,7 @@ def _k_colorable(g: Graph, k: int, deadline: Deadline) -> list[int] | None:
     colors = [-1] * n
     forbidden = [0] * n
     kmask = (1 << k) - 1
+    deg = [row.bit_count() for row in g.adj]
 
     def rec(colored: int, used: int) -> bool:
         deadline.tick()
@@ -220,7 +222,7 @@ def _k_colorable(g: Graph, k: int, deadline: Deadline) -> list[int] | None:
                 sat = (forbidden[u] & kmask).bit_count()
                 if sat == k:
                     return False
-                key = (sat, g.degree(u))
+                key = (sat, deg[u])
                 if key > best_key:
                     best_key, best_v = key, u
         v = best_v

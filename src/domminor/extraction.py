@@ -9,14 +9,13 @@ the results with :func:`lift_model`.
 
 Branches (trace names in parentheses):
 
-* chi(G) <= 2 or omega(G) >= chi(G): clique singletons, routed through the
-  split-graph model when G is split ("clique", "split_graph").
+* omega(G) >= chi(G), which holds for every {2K2, C4, C5}-free (split)
+  graph: maximum clique as singletons ("split_graph" when G is split,
+  "clique" otherwise).
 * C5-free with an induced banner: the banner step must complete, since the
   alternative would force an induced C5 ("banner_completed").
 * C5-free, banner-free, with an induced C4: two-pair reduction over the
   4-cycle ("c4_reduction").
-* {2K2, C4, C5}-free: split graph, maximum clique as singletons
-  ("split_graph").
 * some vertex sees 1..3 vertices of some induced C5: normalize, run the
   banner step twice; if both return apex structure, a forced K4 appears and a
   4-set prefix is built ("low_degree_c5", "low_degree_k4", "banner_structure").
@@ -392,20 +391,23 @@ def c4_reduction_step(
 
 
 # ---------------------------------------------------------------------------
-# split-graph model
+# clique base case
 # ---------------------------------------------------------------------------
 
-def _split_model(g: Graph, chi: int, omega: int, cmask: int, ctx: _Ctx, depth: int) -> MinorModel:
-    """The clique ``cmask`` of size ``omega`` as singleton branch sets."""
+def _clique_model(chi: int, omega: int, cmask: int, ctx: _Ctx, depth: int, branch: str) -> MinorModel:
+    """The maximum clique ``cmask`` as chi singleton branch sets, traced as ``branch``.
+
+    Callers reach it only where omega >= chi (so omega == chi) or the graph is
+    perfect; the check guards that.
+    """
     _require(
         omega == chi,
-        "split graphs are perfect, so the clique and chromatic numbers agree",
+        "the clique and chromatic numbers agree",
         {"omega": omega, "chi": chi},
         depth,
     )
-    model = tuple(1 << v for v in set_to_list(cmask)[:chi])
-    ctx.record(depth, "split_graph", clique=set_to_list(cmask))
-    return model
+    ctx.record(depth, branch, clique=set_to_list(cmask))
+    return tuple(1 << v for v in bits(cmask))
 
 
 def split_graph_model(
@@ -418,7 +420,7 @@ def split_graph_model(
         raise ValueError("split_graph_model requires a split graph")
     chi, _ = chromatic_number(g)
     omega, cmask = clique_number(g)
-    return _split_model(g, chi, omega, cmask, _Ctx(config, trace), 0)
+    return _clique_model(chi, omega, cmask, _Ctx(config, trace), 0, "split_graph")
 
 
 # ---------------------------------------------------------------------------
@@ -959,10 +961,8 @@ def _branch(g: Graph, chi: int, ctx: _Ctx, depth: int) -> MinorModel:
     """The case analysis on a non-empty graph; returns at least chi sets."""
     omega, cmask = clique_number(g)
     if omega >= chi:
-        if find_induced_cycle(g, 4) is None and not has_induced_c5(g):
-            return _split_model(g, chi, omega, cmask, ctx, depth)
-        ctx.record(depth, "clique", clique=set_to_list(cmask)[:chi])
-        return tuple(1 << v for v in set_to_list(cmask)[:chi])
+        split = find_induced_cycle(g, 4) is None and not has_induced_c5(g)
+        return _clique_model(chi, omega, cmask, ctx, depth, "split_graph" if split else "clique")
 
     first_c5, low = _scan_c5s(g, ctx.config.c5_cap, depth)
 
@@ -980,8 +980,12 @@ def _branch(g: Graph, chi: int, ctx: _Ctx, depth: int) -> MinorModel:
         c4 = find_induced_cycle(g, 4)
         if c4 is not None:
             return _c4_reduction(g, c4.vertices, chi, ctx, depth)
-        # {2K2, C4, C5}-free, hence split; omega >= chi should have caught it
-        return _split_model(g, chi, omega, cmask, ctx, depth)
+        # {2K2, C4, C5}-free, hence split, so omega >= chi returned above
+        raise InternalContradictionError(
+            "split graphs are perfect, so the clique and chromatic numbers agree",
+            {"omega": omega, "chi": chi},
+            depth,
+        )
 
     if low is not None:
         return _low_degree_c5(g, low[0], low[1], chi, ctx, depth)
@@ -1031,13 +1035,7 @@ def _extract_ordinary(g: Graph, depth: int) -> tuple[int, MinorModel]:
     if p4 is None:
         # P4-free graphs are perfect: maximum clique as singletons
         omega, cmask = clique_number(g)
-        _require(
-            omega == chi,
-            "P4-free graphs are perfect, so the clique matches the chromatic number",
-            {"omega": omega, "chi": chi},
-            depth,
-        )
-        return chi, tuple(1 << v for v in set_to_list(cmask)[:chi])
+        return chi, _clique_model(chi, omega, cmask, _Ctx(None, None), depth, "clique")
     v1, v2, v3, v4 = p4.vertices
     full = g.full_mask
     pmask = mask_of(p4.vertices)

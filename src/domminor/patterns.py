@@ -7,6 +7,7 @@ pattern's role order, so downstream traces are reproducible vertex by vertex.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -49,19 +50,23 @@ class Embedding:
 _BANNER_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)]
 
 
+@functools.cache
 def banner_pattern() -> Pattern:
     return Pattern(from_edge_list(5, _BANNER_EDGES), ("b1", "b2", "b3", "b", "bp"))
 
 
+@functools.cache
 def two_k2_pattern() -> Pattern:
     return Pattern(from_edge_list(4, [(0, 1), (2, 3)]), ("a1", "a2", "b1", "b2"))
 
 
+@functools.cache
 def cycle_pattern(length: int) -> Pattern:
     edges = [(i, (i + 1) % length) for i in range(length)]
     return Pattern(from_edge_list(length, edges), tuple(f"c{i}" for i in range(length)))
 
 
+@functools.cache
 def path_pattern(length: int) -> Pattern:
     edges = [(i, i + 1) for i in range(length - 1)]
     return Pattern(from_edge_list(length, edges), tuple(f"p{i}" for i in range(length)))
@@ -83,42 +88,35 @@ def verify_embedding(host: Graph, pattern: Pattern, emb: Embedding) -> bool:
 
 
 def find_induced(host: Graph, pattern: Pattern) -> Embedding | None:
-    """Lexicographically least induced copy of ``pattern`` in ``host``."""
+    """Lexicographically least induced copy of ``pattern`` in ``host``.
+
+    Position i's candidates are the still-free host vertices adjacent to the
+    image of every earlier template neighbour of i and non-adjacent to the
+    image of every earlier non-neighbour.  Candidates are tried low bit
+    first, so complete assignments are reached in lexicographic order and the
+    first one is the least.
+    """
     t = pattern.template
     k = t.n
-    if k > host.n:
-        return None
-    tdeg = [t.degree(i) for i in range(k)]
-    assignment = [-1] * k
-    used = 0
+    adj = host.adj
+    earlier = [[(j, t.has_edge(i, j)) for j in range(i)] for i in range(k)]
+    assignment = [0] * k
 
-    def extend(i: int) -> bool:
-        nonlocal used
+    def extend(i: int, free: int) -> bool:
         if i == k:
             return True
-        need_adj = 0
-        need_non = 0
-        for j in range(i):
-            if t.has_edge(i, j):
-                need_adj |= 1 << assignment[j]
-            else:
-                need_non |= 1 << assignment[j]
-        for v in range(host.n):
-            b = 1 << v
-            if used & b or host.degree(v) < tdeg[i]:
-                continue
-            row = host.adj[v]
-            if row & need_adj != need_adj or row & need_non:
-                continue
-            assignment[i] = v
-            used |= b
-            if extend(i + 1):
+        cand = free
+        for j, edge in earlier[i]:
+            cand &= adj[assignment[j]] if edge else ~adj[assignment[j]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            assignment[i] = low.bit_length() - 1
+            if extend(i + 1, free ^ low):
                 return True
-            used &= ~b
-        assignment[i] = -1
         return False
 
-    if extend(0):
+    if extend(0, host.full_mask):
         return Embedding(pattern.roles, tuple(assignment))
     return None
 

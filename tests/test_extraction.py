@@ -404,6 +404,28 @@ class TestPinnedExtraction:
         assert h.hexdigest() == self.DIGEST
 
 
+class TestPinnedOrdinaryExtraction:
+    # md5 over "graph6 model" lines of extract_ordinary_minor on the same
+    # graphs as TestPinnedExtraction; every model depends on which induced P4
+    # find_induced returns. Pinned from the per-vertex backtracking matcher.
+    DIGEST = "4d53608a305d56a4e16f3644ed096633"
+
+    def test_atlas_and_hosts_digest(self):
+        data = Path(__file__).parent / "data"
+        atlas = [ln for n in range(9) for ln in (data / f"graphs{n}.g6").read_text().split()]
+        free = [s for s in atlas if is_2k2_free(parse_graph6(s))]
+        assert len(free) == 3161
+        hosts = [
+            wheel5(), singleton_class_host(), forced_k4_host(), c5_blowup(2), c5_blowup(3),
+            final_host(2), final_host(3), complete_neighbor_host(), pendant_class_host(), pentagon(),
+        ]
+        h = hashlib.md5()
+        for s in free + [emit_graph6(g) for g in hosts]:
+            model = extract_ordinary_minor(parse_graph6(s))
+            h.update(f"{s} {list(model)}\n".encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestSplitBaseCase:
     def test_clique_from_branch_is_reused(self, monkeypatch):
         # the split base case takes omega and the clique that _branch found;

@@ -248,3 +248,28 @@ class TestCorpusInvariants:
                     assert patterns_mod._scan_2k2(g.n, g.adj, *start) == first
                     count += 1
         assert count == 13595
+
+    def test_find_induced_is_lex_least(self):
+        # the embedding is the first induced tuple of itertools.permutations,
+        # i.e. the lexicographically least one, or None when there is none
+        patterns = [two_k2_pattern(), path_pattern(4), cycle_pattern(4), cycle_pattern(5), banner_pattern()]
+        pairs = {
+            pat: [(i, j, pat.template.has_edge(i, j)) for i, j in itertools.combinations(range(pat.template.n), 2)]
+            for pat in patterns
+        }
+        count = 0
+        for n in range(8):
+            for g in self._corpus(n):
+                for pat in patterns:
+                    want = next(
+                        (
+                            vs
+                            for vs in itertools.permutations(range(n), pat.template.n)
+                            if all(g.has_edge(vs[i], vs[j]) == e for i, j, e in pairs[pat])
+                        ),
+                        None,
+                    )
+                    emb = find_induced(g, pat)
+                    assert (emb and emb.vertices) == want
+                    count += 1
+        assert count == 6265
