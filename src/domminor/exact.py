@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph, bits, is_connected_set, mask_of, neighbors_of_set, set_to_list
+from .graphs import Graph, bits, graph_memo, is_connected_set, mask_of, neighbors_of_set, set_to_list
 
 DEFAULT_SEARCH_CAP = 16
 
@@ -135,8 +135,14 @@ def model_from_lists(lists: list[list[int]]) -> MinorModel:
 # clique / independence / chromatic numbers
 # ---------------------------------------------------------------------------
 
+@graph_memo
 def clique_number(g: Graph) -> tuple[int, int]:
-    """Exact maximum clique as (omega, vertex mask), deterministic witness."""
+    """Exact maximum clique as (omega, vertex mask), deterministic witness.
+
+    The witness is the lexicographically least maximum clique.  Answers are
+    remembered for the last ``GRAPH_MEMO_SIZE`` (64) distinct graphs, keyed
+    by the graph (see :func:`~domminor.graphs.graph_memo`).
+    """
     if g.n == 0:
         return 0, 0
     adj = g.adj
@@ -162,7 +168,8 @@ def clique_number(g: Graph) -> tuple[int, int]:
             if r_size > best_size:
                 best_size, best_mask = r_size, r_mask
             return
-        if r_size + greedy_bound(p) <= best_size:
+        # the candidate count is the cheap bound, the greedy colouring the tight one
+        if r_size + p.bit_count() <= best_size or r_size + greedy_bound(p) <= best_size:
             return
         while p:
             if r_size + p.bit_count() <= best_size:
@@ -184,22 +191,29 @@ def independence_number(g: Graph) -> tuple[int, int]:
 
 
 def _dsatur_greedy(g: Graph) -> tuple[int, list[int]]:
+    """DSATUR: colour next the uncoloured vertex of largest (saturation,
+    degree, -index), with its least free colour."""
     n = g.n
     colors = [-1] * n
     forbidden = [0] * n  # bitmask of colors used by neighbors
-    deg = [row.bit_count() for row in g.adj]
+    # (saturation, degree, n - u) packed into one int per vertex, each field
+    # below 2^width; a coloured vertex's key is -1
+    width = n.bit_length()
+    low = (1 << width) - 1
+    sat_step = 1 << 2 * width
+    key = [row.bit_count() << width | n - u for u, row in enumerate(g.adj)]
+    uncolored = g.full_mask
     for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (forbidden[u].bit_count(), deg[u], -u),
-        )
-        c = 0
-        while forbidden[v] >> c & 1:
-            c += 1
-        colors[v] = c
-        for u in bits(g.adj[v]):
-            if colors[u] == -1:
-                forbidden[u] |= 1 << c
+        v = n - (max(key) & low)
+        key[v] = -1
+        uncolored ^= 1 << v
+        f = forbidden[v]
+        c_bit = ~f & (f + 1)  # the least colour no neighbour uses
+        colors[v] = c_bit.bit_length() - 1
+        for u in bits(g.adj[v] & uncolored):
+            if not forbidden[u] & c_bit:
+                forbidden[u] |= c_bit
+                key[u] += sat_step
     return (max(colors) + 1 if n else 0), colors
 
 
@@ -249,11 +263,18 @@ def _k_colorable(g: Graph, k: int, deadline: Deadline) -> list[int] | None:
     return None
 
 
+@graph_memo
 def chromatic_number(g: Graph, deadline_s: float | None = None) -> tuple[int, tuple[int, ...]]:
     """Exact chromatic number with a proper witness coloring.
 
     Sequential k-colorability from the clique number up to the DSATUR
     greedy upper bound, decomposed over connected components.
+
+    Answers are remembered for the last ``GRAPH_MEMO_SIZE`` (64) distinct
+    graphs, keyed by the graph alone (see
+    :func:`~domminor.graphs.graph_memo`): ``deadline_s`` bounds only a
+    computation, so a remembered answer is returned whatever the deadline,
+    and a call that raises :class:`SearchDeadlineExceeded` is not remembered.
     """
     from .graphs import connected_components, induced_subgraph
 
@@ -263,7 +284,10 @@ def chromatic_number(g: Graph, deadline_s: float | None = None) -> tuple[int, tu
     colors = [0] * g.n
     k = 0
     for comp in connected_components(g):
-        sub, verts = induced_subgraph(g, comp)
+        if comp == g.full_mask:
+            sub, verts = g, range(g.n)
+        else:
+            sub, verts = induced_subgraph(g, comp)
         ub, greedy = _dsatur_greedy(sub)
         lb = clique_number(sub)[0]
         sub_colors = greedy

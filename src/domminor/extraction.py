@@ -961,7 +961,8 @@ def _branch(g: Graph, chi: int, ctx: _Ctx, depth: int) -> MinorModel:
     """The case analysis on a non-empty graph; returns at least chi sets."""
     omega, cmask = clique_number(g)
     if omega >= chi:
-        split = find_induced_cycle(g, 4) is None and not has_induced_c5(g)
+        # the two labels differ only in the trace, so untraced runs skip the searches
+        split = ctx.trace is not None and find_induced_cycle(g, 4) is None and not has_induced_c5(g)
         return _clique_model(chi, omega, cmask, ctx, depth, "split_graph" if split else "clique")
 
     first_c5, low = _scan_c5s(g, ctx.config.c5_cap, depth)

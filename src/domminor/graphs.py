@@ -10,10 +10,18 @@ Graphs are immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 DEFAULT_GRAPH6_CAP = 512
+
+# Distinct graphs each memoised function (``graph_memo``) remembers.  Of the
+# 904 chi calls on the first 156 graphs of the 2K2-free sweep, 332 hit at
+# size 16, 352 at 64 and 364 at 128; of the 22,681 in an all-checks hunt over
+# the n <= 8 atlas, 8,522, 8,794 and 8,876.  An entry is a small graph and
+# its answer.
+GRAPH_MEMO_SIZE = 64
 
 _G6_LONG_MAX = 258047  # largest n encodable in the 3-byte extended header
 
@@ -102,6 +110,57 @@ class Graph:
             for u in bits(row):
                 if not (self.adj[u] >> v & 1):
                     raise GraphConstructionError(f"asymmetric pair ({v}, {u})")
+
+
+class MemoInfo(NamedTuple):
+    hits: int
+    misses: int
+    size: int
+
+
+_R = TypeVar("_R")
+_MISSING = object()
+
+
+def graph_memo(fn: Callable[..., _R]) -> Callable[..., _R]:
+    """Remember ``fn(g, ...)`` for the last :data:`GRAPH_MEMO_SIZE` distinct
+    graphs ``g``, least recently used evicted first.
+
+    For functions whose answer depends on the graph alone: the key is ``g``
+    (equal ``n`` and ``adj`` give an equal key), so any further arguments,
+    such as a deadline, are used on a miss and ignored on a hit.  Every
+    answer is remembered, ``None`` included; an exception is not.  The
+    answers are shared, so they must be immutable.  ``cache_info()`` gives
+    the hits, misses and current size, and ``cache_clear()`` forgets all.
+    """
+    memo: dict[Graph, _R] = {}
+    hits = misses = 0
+
+    @functools.wraps(fn)
+    def wrapper(g: Graph, *args, **kwargs) -> _R:
+        nonlocal hits, misses
+        answer = memo.pop(g, _MISSING)
+        if answer is _MISSING:
+            misses += 1
+            answer = fn(g, *args, **kwargs)
+            if len(memo) >= GRAPH_MEMO_SIZE:
+                del memo[next(iter(memo))]
+        else:
+            hits += 1
+        memo[g] = answer  # last in the dict is most recently used
+        return answer
+
+    def cache_info() -> MemoInfo:
+        return MemoInfo(hits, misses, len(memo))
+
+    def cache_clear() -> None:
+        nonlocal hits, misses
+        memo.clear()
+        hits = misses = 0
+
+    wrapper.cache_info = cache_info
+    wrapper.cache_clear = cache_clear
+    return wrapper
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

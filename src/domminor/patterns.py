@@ -11,7 +11,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .graphs import Graph, bits, from_edge_list, mask_of
+from .graphs import Graph, bits, from_edge_list, graph_memo, mask_of
 
 
 @dataclass(frozen=True)
@@ -153,11 +153,14 @@ def _scan_2k2(n: int, adj: Sequence[int], u0: int, v0: int) -> tuple[int, int, i
     return None
 
 
+@graph_memo
 def find_2k2(host: Graph) -> Embedding | None:
     """Fast scan for two disjoint edges with no edge between them.
 
     Returns roles (a1, a2, b1, b2) with edges a1a2, b1b2, a1 the least vertex
-    of any witness, each edge sorted; or ``None``.
+    of any witness, each edge sorted; or ``None``.  Answers, ``None``
+    included, are remembered for the last ``GRAPH_MEMO_SIZE`` (64) distinct
+    graphs, keyed by the graph (see :func:`~domminor.graphs.graph_memo`).
     """
     found = _scan_2k2(host.n, host.adj, 0, 0)
     if found is None:

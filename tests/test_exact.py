@@ -36,14 +36,17 @@ from domminor.generators import (
     random_gnp,
 )
 from domminor.graphs import (
+    GRAPH_MEMO_SIZE,
     Graph,
     complement,
+    emit_graph6,
     from_edge_list,
     is_connected_set,
     neighbors_of_set,
     parse_graph6,
     set_to_list,
 )
+from domminor.patterns import find_2k2
 
 C5 = cycle(5)
 DATA = Path(__file__).parent / "data"
@@ -219,6 +222,28 @@ class TestChromatic:
         assert count == 1409
         assert h.hexdigest() == "52c81b720a8b629f62b9b494ae8776a5"
 
+    def test_atlas_and_sweep_kernels_pinned(self):
+        # DSATUR's colouring (optimal or not) and the clique search's (omega,
+        # witness) on the same graphs; pinned from the kernels that picked
+        # the DSATUR vertex by a tuple key and ran the greedy clique bound
+        # at every node
+        h = hashlib.md5()
+        graphs = [
+            (line, parse_graph6(line))
+            for n in range(8)
+            for line in (DATA / f"graphs{n}.g6").read_text().split()
+        ]
+        graphs += [
+            (str(i), random_2k2_free(5 + i % 26, (0.08, 0.15, 0.25, 0.4, 0.6, 0.8)[i % 6], i))
+            for i in range(156)
+        ]
+        for name, g in graphs:
+            k, colors = exact_mod._dsatur_greedy(g)
+            omega, mask = clique_number(g)
+            h.update(f"{name} {k} {colors} {omega} {mask}\n".encode())
+        assert len(graphs) == 1409
+        assert h.hexdigest() == "3b5a796f9347c9137c53aba8033334f1"
+
 
 class TestCliqueIndependence:
     def test_k6(self):
@@ -247,6 +272,65 @@ class TestCliqueIndependence:
         vs = set_to_list(w)
         assert len(vs) == omega
         assert all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
+
+
+def mycielski(g: Graph) -> Graph:
+    """Triangle-free graph with chromatic number one more than ``g``'s."""
+    n = g.n
+    edges = list(g.edges())
+    edges += [(u, v + n) for u, v in g.edges()] + [(v, u + n) for u, v in g.edges()]
+    edges += [(v + n, 2 * n) for v in range(n)]
+    return from_edge_list(2 * n + 1, edges)
+
+
+class TestGraphMemo:
+    MEMOISED = (clique_number, chromatic_number, find_2k2)
+
+    def test_equal_graph_object_hits(self):
+        for g in (petersen(), cycle(5), complete(4)):  # find_2k2: a witness, then None twice
+            twin = parse_graph6(emit_graph6(g))
+            assert twin == g and twin is not g
+            for fn in self.MEMOISED:
+                first = fn(g)
+                hits = fn.cache_info().hits
+                assert fn(twin) is first
+                assert fn.cache_info().hits == hits + 1
+
+    def test_deadline_failure_is_not_remembered(self):
+        g = mycielski(mycielski(C5))  # 23 vertices, triangle-free, chi 5
+        with pytest.raises(SearchDeadlineExceeded):
+            chromatic_number(g, deadline_s=0)
+        assert chromatic_number.cache_info().size == 0
+        k, colors = chromatic_number(g)
+        assert (k, colors) == chromatic_number.__wrapped__(g)
+        assert k == 5 and is_proper_coloring(g, colors, k)
+        assert chromatic_number.cache_info() == (0, 2, 1)
+        # a remembered answer is returned whatever the deadline
+        assert chromatic_number(g, deadline_s=0) == (k, colors)
+
+    def test_size_is_bounded_least_recent_evicted(self):
+        paths = [path(n) for n in range(1, GRAPH_MEMO_SIZE + 11)]
+        for g in paths:
+            clique_number(g)
+            assert clique_number.cache_info().size <= GRAPH_MEMO_SIZE
+        assert clique_number.cache_info() == (0, GRAPH_MEMO_SIZE + 10, GRAPH_MEMO_SIZE)
+        clique_number(paths[-1])
+        clique_number(paths[0])
+        assert clique_number.cache_info()[:2] == (1, GRAPH_MEMO_SIZE + 11)
+
+    def test_warm_answers_equal_cold_on_atlas(self):
+        lines = [line for n in range(8) for line in (DATA / f"graphs{n}.g6").read_text().split()]
+        for fn in self.MEMOISED:
+            for line in lines:
+                cold = fn(parse_graph6(line))
+                assert fn(parse_graph6(line)) == cold == fn.__wrapped__(parse_graph6(line))
+            assert fn.cache_info().hits == len(lines)
+
+    def test_hadwiger_number_computes_clique_once(self):
+        # one of the benchmark's dense graphs; each probe used to redo omega
+        g = random_2k2_free(13, 0.4, 2)
+        assert dominating_hadwiger_number(g)[0] == 8
+        assert clique_number.cache_info().misses == 1
 
 
 class TestConnectedSets:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from domminor.exact import SearchDeadlineExceeded, has_dominating_kt
-from domminor.generators import cycle, one_subdivision_complete, random_gnp
+from domminor.generators import complete, cycle, one_subdivision_complete, random_gnp
 from domminor.graphs import emit_graph6
 from domminor.hunt import (
     HuntConfig,
@@ -260,6 +260,25 @@ class TestSharedFacts:
         assert (verdict, chi) == ("holds", 3)
         assert all(d["outcome"] == "ok" for d in detail.values())
         assert calls == {"chromatic_number": 1, "find_2k2": 1}
+
+    def test_one_kernel_run_per_fact(self, monkeypatch):
+        # the extractors' root chi and 2K2 test are the facts' own (both
+        # extractors used to recompute them); K4 is P4-free and connected,
+        # so every chi is of the whole graph
+        import domminor.exact as em
+        import domminor.patterns as pm
+
+        runs = Counter()
+        for module, name in ((em, "_dsatur_greedy"), (pm, "_scan_2k2")):
+            def counted(*a, _fn=getattr(module, name), _name=name):
+                runs[_name] += 1
+                return _fn(*a)
+
+            monkeypatch.setattr(module, name, counted)
+        verdict, chi, detail = check_graph(complete(4), ALL_CHECKS)
+        assert (verdict, chi) == ("holds", 4)
+        assert all(d["outcome"] == "ok" for d in detail.values())
+        assert runs == {"_dsatur_greedy": 1, "_scan_2k2": 1}
 
     def test_timed_out_fact_is_retried_by_the_next_check(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "chromatic_number", fail_first=("chromatic_number",))
