@@ -48,9 +48,6 @@ class Deadline:
             raise SearchDeadlineExceeded
 
 
-_NO_DEADLINE = Deadline(None)
-
-
 # ---------------------------------------------------------------------------
 # model verification
 # ---------------------------------------------------------------------------

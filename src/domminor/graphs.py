@@ -192,7 +192,10 @@ def parse_graph6(text: str, cap: int = DEFAULT_GRAPH6_CAP) -> Graph:
         data = data[10:]
     if not data:
         raise Graph6ParseError("empty graph6 string", 0)
-    raw = data.encode("ascii", errors="replace")
+    try:
+        raw = data.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6ParseError(f"non-ASCII character {data[exc.start]!r}", exc.start) from None
 
     pos = 0
     first = raw[pos]
@@ -296,7 +299,10 @@ def parse_edge_list(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise GraphConstructionError(f"expected 'n m' header, got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise GraphConstructionError(f"non-integer 'n m' header {lines[0]!r}") from None
     if len(lines) - 1 != m:
         raise GraphConstructionError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = []
@@ -304,7 +310,10 @@ def parse_edge_list(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphConstructionError(f"malformed edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise GraphConstructionError(f"non-integer edge line {ln!r}") from None
     return from_edge_list(n, edges)
 
 
@@ -388,16 +397,3 @@ def connected_components(g: Graph) -> list[int]:
         remaining &= ~comp
     return comps
 
-
-def is_complete_to(g: Graph, x: int, y: int) -> bool:
-    """True iff every vertex of mask ``x`` is adjacent to all of mask ``y``."""
-    if x & y:
-        raise ValueError("is_complete_to requires disjoint sets")
-    return all(g.adj[v] & y == y for v in bits(x))
-
-
-def is_anticomplete_to(g: Graph, x: int, y: int) -> bool:
-    """True iff there is no edge between masks ``x`` and ``y``."""
-    if x & y:
-        raise ValueError("is_anticomplete_to requires disjoint sets")
-    return all(g.adj[v] & y == 0 for v in bits(x))

@@ -12,9 +12,11 @@ search cap and time budget, and the sha256 of the input lines it consumed.
 A resume is refused when a stored field differs, or when the output file
 holds fewer bytes than the checkpoint counted, since records would be lost.
 
-Checks live in the ``_CHECKS`` table (name -> function).  The checks of one
-record share a facts object, so between them they compute chi, its coloring
-and the 2K2 test at most once per graph.  The checks:
+Checks live in the ``_CHECKS`` table (name -> function of the graph, the
+search cap and the time left).  The checks of one record, and the 2k2-free
+filter before them, share chi, its coloring and the 2K2 test through the
+per-graph memo of ``chromatic_number`` and ``find_2k2``, so each is computed
+once per graph.  The checks:
 
 * ``dominating-hadwiger``: compute chi, then search exhaustively for a
   dominating K_chi minor; absence is a conjecture counterexample and carries
@@ -38,7 +40,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 try:  # CPython's own sha256; hashlib's would load OpenSSL, which adds about
     from _sha2 import sha256  # 4 MB of resident memory to every hunt process
@@ -132,44 +134,19 @@ class HuntRecord:
 # per-graph checking
 # ---------------------------------------------------------------------------
 
-class _Facts:
-    """What the checks of one record share about its graph, each fact
-    computed on first use.
-
-    ``budget`` is the time left when the current check started.  A fact whose
-    computation runs out of it raises and is not kept, so a later check
-    retries it with its own budget.
-    """
-
-    def __init__(self, g: Graph, cap: int):
-        self.g = g
-        self.cap = cap
-        self.budget: float | None = None
-
-    @cached_property
-    def chromatic(self) -> tuple[int, tuple[int, ...]]:
-        """(chi, a proper chi-coloring)."""
-        return chromatic_number(self.g, deadline_s=self.budget)
-
-    @cached_property
-    def witness_2k2(self):
-        return find_2k2(self.g)
-
-
-def _dominating_hadwiger(f: _Facts) -> tuple[str, dict]:
-    g = f.g
-    chi, coloring = f.chromatic
+def _dominating_hadwiger(g: Graph, cap: int, budget: float | None) -> tuple[str, dict]:
+    chi, coloring = chromatic_number(g, deadline_s=budget)
     if chi == 0:
         return "ok", {"chi": 0}
-    if g.n > f.cap:
-        return "capacity", {"n": g.n, "cap": f.cap}
-    model = has_dominating_kt(g, chi, cap=f.cap, deadline_s=f.budget)
+    if g.n > cap:
+        return "capacity", {"n": g.n, "cap": cap}
+    model = has_dominating_kt(g, chi, cap=cap, deadline_s=budget)
     if model is not None:
         return "ok", {"chi": chi, "dominating_model": model_to_lists(model)}
     # counterexample certificate: the coloring shows chi(g) <= chi, the
     # exhausted searches show chi-1 colors and a dominating K_chi are
     # both impossible
-    lower = _k_colorable(g, chi - 1, Deadline(f.budget)) if chi > 1 else None
+    lower = _k_colorable(g, chi - 1, Deadline(budget)) if chi > 1 else None
     return "violated", {
         "chi": chi,
         "coloring": list(coloring),
@@ -178,41 +155,45 @@ def _dominating_hadwiger(f: _Facts) -> tuple[str, dict]:
     }
 
 
-def _extractor_check(f: _Facts, extract, verify) -> tuple[str, dict]:
+def _extractor_check(g: Graph, budget: float | None, extract, verify) -> tuple[str, dict]:
     """On a 2K2-free graph, the extractor's model must have chi sets and pass
     the verifier."""
-    if f.witness_2k2 is not None:
+    if find_2k2(g) is not None:
         return "skipped", {"reason": "not 2k2-free"}
-    chi, _ = f.chromatic
+    chi, _ = chromatic_number(g, deadline_s=budget)
     try:
-        model = extract(f.g)
+        model = extract(g)
     except ExtractionError as exc:
         return "violated", {"error": str(exc)}
-    if len(model) != chi or not verify(f.g, model).valid:
+    if len(model) != chi or not verify(g, model).valid:
         return "violated", {"chi": chi, "model": model_to_lists(model)}
     return "ok", {"chi": chi, "sets": len(model)}
 
 
-def _t3_equivalence(f: _Facts) -> tuple[str, dict]:
-    g = f.g
-    if g.n > f.cap:
-        return "capacity", {"n": g.n, "cap": f.cap}
+def _t3_equivalence(g: Graph, cap: int, budget: float | None) -> tuple[str, dict]:
+    if g.n > cap:
+        return "capacity", {"n": g.n, "cap": cap}
     for t in (1, 2, 3):
-        dom = has_dominating_kt(g, t, cap=f.cap, deadline_s=f.budget) is not None
-        ordi = has_kt_minor(g, t, cap=f.cap, deadline_s=f.budget)
+        dom = has_dominating_kt(g, t, cap=cap, deadline_s=budget) is not None
+        ordi = has_kt_minor(g, t, cap=cap, deadline_s=budget)
         if dom != ordi:
             return "violated", {"t": t, "dominating": dom, "ordinary": ordi}
     return "ok", {}
 
 
-# Each check returns (outcome, detail) with outcome in {ok, violated,
-# capacity, skipped}; running out of time raises SearchDeadlineExceeded.  The
-# bodies name the package functions they call, so those are looked up at call
-# time (where tracers and test doubles replace them).
+# Each check is a function of (g, cap, budget) returning (outcome, detail),
+# with outcome in {ok, violated, capacity, skipped}; running out of time raises
+# SearchDeadlineExceeded.  The bodies name the package functions they call, so
+# those are looked up at call time (where tracers and test doubles replace
+# them).
 _CHECKS = {
     "dominating-hadwiger": _dominating_hadwiger,
-    "extraction": lambda f: _extractor_check(f, extract_dominating, verify_dominating_model),
-    "ordinary-minor": lambda f: _extractor_check(f, extract_ordinary_minor, verify_ordinary_model),
+    "extraction": lambda g, cap, budget: _extractor_check(
+        g, budget, extract_dominating, verify_dominating_model
+    ),
+    "ordinary-minor": lambda g, cap, budget: _extractor_check(
+        g, budget, extract_ordinary_minor, verify_ordinary_model
+    ),
     "t3-equivalence": _t3_equivalence,
 }
 KNOWN_CHECKS = tuple(_CHECKS)
@@ -226,28 +207,26 @@ def check_graph(
     checks: tuple[str, ...],
     cap: int = DEFAULT_SEARCH_CAP,
     time_budget_s: float | None = None,
-    *,
-    _facts: _Facts | None = None,
 ) -> tuple[str, int | None, dict]:
     """Run the requested checks; returns (verdict, chi, detail-per-check).
 
-    The checks share one chi, one coloring and one 2K2 test; ``_facts``, if
-    given, holds what the caller already knows about ``g`` (the hunt's 2K2
-    filter passes its witness this way).  Verdict precedence: counterexample >
-    timeout > capacity > holds.  ``chi`` is the first integer chi in any
+    Each check gets the time left of ``time_budget_s``.  The checks share
+    chi, its coloring and the 2K2 test through the per-graph memo of
+    ``chromatic_number`` and ``find_2k2``, so each is computed once per graph;
+    one that runs out of time is not remembered, and the next check that
+    needs it retries with its own budget.  Verdict precedence: counterexample
+    > timeout > capacity > holds.  ``chi`` is the first integer chi in any
     check's detail.
     """
     t0 = time.monotonic()
-    facts = _Facts(g, cap) if _facts is None else _facts
     detail: dict = {}
     chi: int | None = None
     for name in checks:
         if name not in _CHECKS:
             raise HuntError(f"unknown check {name!r}")
-        if time_budget_s is not None:
-            facts.budget = max(time_budget_s - (time.monotonic() - t0), 0.001)
+        budget = None if time_budget_s is None else max(time_budget_s - (time.monotonic() - t0), 0.001)
         try:
-            outcome, info = _CHECKS[name](facts)
+            outcome, info = _CHECKS[name](g, cap, budget)
         except SearchDeadlineExceeded:
             outcome, info = "timeout", {"check": name}
         detail[name] = {"outcome": outcome, **info}
@@ -264,13 +243,10 @@ def _process_line(cfg: HuntConfig, line_no: int, text: str) -> HuntRecord:
         g = parse_graph6(text)
     except GraphError as exc:
         return HuntRecord(line_no, text, "parse-error", detail={"error": str(exc)})
-    facts = _Facts(g, cfg.exact_cap)
-    if cfg.graph_filter == "2k2-free" and facts.witness_2k2 is not None:
+    if cfg.graph_filter == "2k2-free" and find_2k2(g) is not None:
         rec = HuntRecord(line_no, text, "skipped-filter", n=g.n)
     else:
-        verdict, chi, detail = check_graph(
-            g, cfg.checks, cap=cfg.exact_cap, time_budget_s=cfg.time_budget_s, _facts=facts
-        )
+        verdict, chi, detail = check_graph(g, cfg.checks, cap=cfg.exact_cap, time_budget_s=cfg.time_budget_s)
         rec = HuntRecord(line_no, text, verdict, n=g.n, chi=chi, detail=detail)
     rec.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return rec

@@ -36,6 +36,11 @@ class TestAnalyze:
         assert code == 1
         assert obj["schema"] == "domminor/error/v1"
 
+    def test_non_integer_edge_list(self, capsys):
+        code, obj = run_json(capsys, "analyze", "--format", "edges", "x 1")
+        assert code == 1
+        assert obj["schema"] == "domminor/error/v1" and "non-integer" in obj["error"]
+
     def test_edge_list_file(self, capsys, tmp_path):
         p = tmp_path / "g.edges"
         p.write_text(emit_edge_list(cycle(5)))

@@ -16,8 +16,6 @@ from domminor.graphs import (
     emit_graph6,
     from_edge_list,
     induced_subgraph,
-    is_anticomplete_to,
-    is_complete_to,
     is_connected_set,
     mask_of,
     parse_edge_list,
@@ -142,6 +140,13 @@ class TestGraph6:
         with pytest.raises(Graph6ParseError, match="after bit payload"):
             parse_graph6("A_1")
 
+    def test_non_ascii_rejected_at_its_offset(self):
+        # replacing the character with '?', a valid payload byte, would parse
+        # a different graph
+        with pytest.raises(Graph6ParseError, match="non-ASCII") as ei:
+            parse_graph6("Dh\u00e9")
+        assert ei.value.offset == 2
+
     def test_eight_byte_form_rejected(self):
         with pytest.raises(Graph6ParseError, match="8-byte"):
             parse_graph6("~~?????@??")
@@ -169,6 +174,11 @@ class TestEdgeListText:
     def test_bad_header(self):
         with pytest.raises(GraphConstructionError):
             parse_edge_list("3\n0 1\n")
+
+    @pytest.mark.parametrize("text", ["x 1\n0 1\n", "2 1\n0 q\n"])
+    def test_non_integer_token(self, text):
+        with pytest.raises(GraphConstructionError, match="non-integer"):
+            parse_edge_list(text)
 
     def test_edge_count_mismatch(self):
         with pytest.raises(GraphConstructionError, match="promises"):
@@ -225,20 +235,6 @@ class TestSetAlgebra:
         assert not is_connected_set(g, mask_of([0, 2]))
         assert is_connected_set(g, mask_of([3]))
         assert not is_connected_set(g, 0)
-
-    def test_complete_and_anticomplete(self):
-        k4 = from_edge_list(4, list(itertools.combinations(range(4), 2)))
-        assert is_complete_to(k4, mask_of([0]), mask_of([1, 2, 3]))
-        tk = from_edge_list(4, [(0, 1), (2, 3)])
-        assert is_anticomplete_to(tk, mask_of([0, 1]), mask_of([2, 3]))
-        c5 = from_edge_list(5, C5_EDGES)
-        assert not is_complete_to(c5, mask_of([0]), mask_of([1, 2]))
-        assert not is_anticomplete_to(c5, mask_of([0]), mask_of([1, 2]))
-
-    def test_overlap_rejected(self):
-        g = from_edge_list(3, [(0, 1)])
-        with pytest.raises(ValueError):
-            is_complete_to(g, 0b11, 0b10)
 
     def test_components(self):
         g = from_edge_list(5, [(0, 1), (2, 3)])
