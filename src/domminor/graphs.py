@@ -229,31 +229,23 @@ def parse_graph6(text: str, cap: int = DEFAULT_GRAPH6_CAP) -> Graph:
     if len(raw) - pos > nbytes:
         raise Graph6ParseError("unexpected bytes after bit payload", pos + nbytes)
 
+    # the bits run down the columns of the upper triangle: (0, 1), (0, 2),
+    # (1, 2), (0, 3), ...; padding bits past the last column are ignored
     adj = [0] * n
-    bit_index = 0
-    for k in range(nbytes):
-        b = raw[pos + k]
+    i, j = 0, 1
+    for k in range(pos, pos + nbytes):
+        b = raw[k]
         if not 63 <= b <= 126:
-            raise Graph6ParseError(f"malformed payload byte {b!r}", pos + k)
+            raise Graph6ParseError(f"malformed payload byte {b!r}", k)
         group = b - 63
-        for shift in range(5, -1, -1):
-            if bit_index >= nbits:
-                break
-            if group >> shift & 1:
-                i, j = _triangle_coords(bit_index)
+        for shift in (5, 4, 3, 2, 1, 0):
+            if group >> shift & 1 and j < n:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-            bit_index += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
     return Graph(n, tuple(adj))
-
-
-def _triangle_coords(k: int) -> tuple[int, int]:
-    # k-th bit of the column-major upper triangle: columns j = 1.., rows i < j
-    j = 1
-    while k >= j:
-        k -= j
-        j += 1
-    return k, j
 
 
 def emit_graph6(g: Graph) -> str:

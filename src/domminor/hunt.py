@@ -2,9 +2,22 @@
 
 Reads one graph6 string per line ('#' comments and blank lines are ignored),
 runs the requested checks on every graph, and emits exactly one JSONL record
-per graph.  A byte-offset checkpoint makes interrupted runs resumable with an
-identical final record multiset; worker processes only change record order
-timing, never content.  Any counterexample verdict is re-checked once more,
+per graph, in input order.  Input is decoded as UTF-8, undecodable bytes
+becoming U+FFFD (so such a line is a parse error), and split into lines as
+``str.splitlines`` splits.
+
+The input is a stream: it is read lazily and cut into chunks of graph lines,
+and at most two chunks per worker are in flight, so memory does not grow with
+corpus length.  Chunks are sized by time: the first hold a few lines, and
+each later one as many as the previous chunk did in about 50 ms of worker
+time (at most doubling, at most ``_CHUNK_MAX``), so slow graphs go a few at
+a time and cheap ones share one round trip.  Workers send back encoded
+records; the parent writes each chunk's records, flushes, and then writes the
+checkpoint once per chunk.  With one worker the same loop runs in process.
+
+A byte-offset checkpoint makes interrupted runs resumable with an identical
+final record multiset; worker counts and chunk sizes never change record
+content.  Any counterexample verdict is re-checked once more,
 single-threaded and with the time budget removed, before it is reported.
 
 The checkpoint also stores a fingerprint of its run: the checks, filter,
@@ -38,9 +51,10 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from itertools import islice
 
 try:  # CPython's own sha256; hashlib's would load OpenSSL, which adds about
     from _sha2 import sha256  # 4 MB of resident memory to every hunt process
@@ -70,7 +84,13 @@ KNOWN_FILTERS = ("2k2-free",)
 
 VERDICTS = ("holds", "counterexample", "skipped-filter", "timeout", "capacity", "parse-error")
 
-_CHUNK_LINES = 16
+# Chunks of graph lines go to the workers.  The first chunks hold
+# _CHUNK_FIRST lines; after each chunk the size moves toward the number of
+# lines the last chunk did in _CHUNK_TARGET_S of worker time, at most doubling
+# and at most _CHUNK_MAX.
+_CHUNK_FIRST = 16
+_CHUNK_MAX = 1024
+_CHUNK_TARGET_S = 0.05
 
 
 class HuntError(Exception):
@@ -252,8 +272,15 @@ def _process_line(cfg: HuntConfig, line_no: int, text: str) -> HuntRecord:
     return rec
 
 
-def _process_chunk(cfg: HuntConfig, lines: list[tuple[int, str]]) -> list[HuntRecord]:
-    return [_process_line(cfg, no, text) for no, text in lines]
+def _process_chunk(cfg: HuntConfig, lines: list[tuple[int, str]]) -> tuple[float, list[tuple]]:
+    """The seconds a chunk of (line number, text) pairs took, and its records
+    as (line, graph6, verdict, JSON line) tuples."""
+    t0 = time.perf_counter()
+    out = []
+    for no, text in lines:
+        rec = _process_line(cfg, no, text)
+        out.append((no, text, rec.verdict, rec.to_json()))
+    return time.perf_counter() - t0, out
 
 
 # ---------------------------------------------------------------------------
@@ -292,30 +319,43 @@ class HuntSummary:
         return 2 if self.verdicts.get("counterexample", 0) else 0
 
 
+def _numbered_lines(src):
+    """(number, line) for each line of a binary stream, numbered from 1.
+
+    Each physical line is decoded as UTF-8, undecodable bytes becoming U+FFFD,
+    and split by ``str.splitlines``, so the lines and their numbers are those
+    of ``splitlines`` on the whole decoded text.
+    """
+    no = 0
+    try:
+        for raw in src:
+            for ln in raw.decode("utf-8", "replace").splitlines():
+                no += 1
+                yield no, ln
+    except OSError as exc:
+        raise HuntError(f"cannot read input: {exc}") from exc
+
+
 class _Checkpoint:
     """The resume point of a run: the next input line, the output bytes
     written before it, and a fingerprint of the run (the settings that shape
     its records, and the sha256 of the input lines consumed so far)."""
 
-    def __init__(self, cfg: HuntConfig, lines: list[str]):
+    def __init__(self, cfg: HuntConfig):
         self.cfg = cfg
         self.path = cfg.checkpoint_path
-        self.lines = lines
-        self._sha = sha256()
-        self._hashed = 0  # input lines fed to _sha
+        self.sha = sha256()  # of the input lines up to the last graph line read
 
-    def _fields(self, next_line: int, output_bytes: int) -> dict:
-        for ln in self.lines[self._hashed : max(next_line - 1, 0)]:
-            self._sha.update(ln.encode() + b"\n")
-        self._hashed = max(next_line - 1, self._hashed)
+    def _fields(self, next_line: int, output_bytes: int, input_sha256: str) -> dict:
         cfg = self.cfg
         return {"next_line": next_line, "output_bytes": output_bytes, "checks": list(cfg.checks),
                 "graph_filter": cfg.graph_filter, "exact_cap": cfg.exact_cap,
-                "time_budget_s": cfg.time_budget_s, "input_sha256": self._sha.hexdigest()}
+                "time_budget_s": cfg.time_budget_s, "input_sha256": input_sha256}
 
-    def read(self) -> tuple[int, int]:
+    def read(self, lines) -> tuple[int, int]:
         """(next_line, output_bytes) to resume from; (0, 0) without a checkpoint.
 
+        Consumes and hashes the lines of ``lines`` before ``next_line``.
         Refuses a checkpoint whose stored fingerprint fields differ from this
         run's (older checkpoints lack some and are checked on the rest), and
         an output file shorter than the bytes the checkpoint counted.
@@ -328,7 +368,9 @@ class _Checkpoint:
             next_line, output_bytes = int(data["next_line"]), int(data["output_bytes"])
         except (ValueError, KeyError, TypeError, OSError) as exc:
             raise HuntError(f"unreadable checkpoint {self.path}: {exc}") from exc
-        for key, value in self._fields(next_line, output_bytes).items():
+        for _, ln in islice(lines, max(next_line - 1, 0)):
+            self.sha.update(ln.encode() + b"\n")
+        for key, value in self._fields(next_line, output_bytes, self.sha.hexdigest()).items():
             if key in data and data[key] != value:
                 raise HuntError(
                     f"checkpoint {self.path} does not match this run: "
@@ -343,57 +385,74 @@ class _Checkpoint:
             )
         return next_line, output_bytes
 
-    def write(self, next_line: int, output_bytes: int) -> None:
+    def graph_lines(self, lines):
+        """(number, stripped text) of each graph line of ``lines``, skipping
+        blank and '#' lines.  When a graph line is yielded, ``self.sha`` has
+        hashed every line up to it and none after it."""
+        ahead = None  # self.sha plus the lines skipped since the last graph line
+        for no, ln in lines:
+            text = ln.strip()
+            if not text or text[0] == "#":
+                if ahead is None:
+                    ahead = self.sha.copy()
+                ahead.update(ln.encode() + b"\n")
+                continue
+            if ahead is not None:
+                self.sha, ahead = ahead, None
+            self.sha.update(ln.encode() + b"\n")
+            yield no, text
+
+    def write(self, next_line: int, output_bytes: int, input_sha256: str) -> None:
         if self.path is None:
             return
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self._fields(next_line, output_bytes), fh)
+            json.dump(self._fields(next_line, output_bytes, input_sha256), fh)
         os.replace(tmp, self.path)
+
+
+class _InProcess:
+    """The executor of a 1-worker hunt: runs each chunk as it is submitted."""
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def run_hunt(cfg: HuntConfig, record_stream=None) -> HuntSummary:
     """Process the corpus per the configuration; returns the final summary.
 
-    Records go to ``cfg.output_path`` (or ``record_stream``/stdout).  With a
-    checkpoint path, interrupted runs resume where they stopped: the output
-    file is truncated back to the last checkpointed byte so the final record
-    multiset is identical to an uninterrupted run.
+    Records go to ``cfg.output_path`` (or ``record_stream``/stdout) in input
+    order.  With a checkpoint path, interrupted runs resume where they
+    stopped: the output file is truncated back to the last checkpointed byte
+    so the final record multiset is identical to an uninterrupted run.
     """
     cfg.validate()
     t0 = time.monotonic()
-
-    if cfg.input_path is None:
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(cfg.input_path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise HuntError(f"cannot read input: {exc}") from exc
-
-    lines = text.splitlines()
-    tasks = [
-        (no, ln.strip())
-        for no, ln in enumerate(lines, start=1)
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
-    checkpoint = _Checkpoint(cfg, lines)
-    next_line, output_bytes = checkpoint.read()
-    pending = [t for t in tasks if t[0] >= next_line]
-    chunks = [pending[i : i + _CHUNK_LINES] for i in range(0, len(pending), _CHUNK_LINES)]
-    unbudgeted = dataclasses.replace(cfg, time_budget_s=None)
-
     summary = HuntSummary()
     with contextlib.ExitStack() as stack:
+        if cfg.input_path is None:
+            src = sys.stdin.buffer
+        else:
+            try:
+                src = stack.enter_context(open(cfg.input_path, "rb"))
+            except OSError as exc:
+                raise HuntError(f"cannot read input: {exc}") from exc
+        lines = _numbered_lines(src)
+        checkpoint = _Checkpoint(cfg)
+        next_line, output_bytes = checkpoint.read(lines)
+
         if cfg.output_path is not None:
             resume = next_line > 0 and os.path.exists(cfg.output_path)
             out_fh = stack.enter_context(open(cfg.output_path, "r+" if resume else "w", encoding="utf-8"))
             if resume:
                 # records before the checkpointed byte stay; later partial output
                 # from an interrupted run is discarded and recomputed
+                left = output_bytes
                 try:
-                    for ln in out_fh.read(output_bytes).splitlines():
+                    while left > 0 and (ln := out_fh.readline(left)):
+                        left -= len(ln)
                         if ln.strip():
                             rec = json.loads(ln)
                             summary.add(rec["verdict"], rec["graph6"])
@@ -404,19 +463,32 @@ def run_hunt(cfg: HuntConfig, record_stream=None) -> HuntSummary:
         else:
             out_fh = record_stream if record_stream is not None else sys.stdout
 
-        run = stack.enter_context(ProcessPoolExecutor(cfg.workers)).map if cfg.workers > 1 else map
-        for chunk, batch in zip(chunks, run(partial(_process_chunk, cfg), chunks)):
-            for rec in batch:
-                if rec.verdict == "counterexample":
+        pool = stack.enter_context(ProcessPoolExecutor(cfg.workers)) if cfg.workers > 1 else _InProcess()
+        unbudgeted = dataclasses.replace(cfg, time_budget_s=None)
+        graphs = checkpoint.graph_lines(lines)
+        window: deque = deque()  # (future, line count, next line, input sha256) per chunk, in input order
+        size = _CHUNK_FIRST
+        while True:
+            while len(window) < 2 * cfg.workers and (chunk := list(islice(graphs, size))):
+                future = pool.submit(_process_chunk, cfg, chunk)
+                window.append((future, len(chunk), chunk[-1][0] + 1, checkpoint.sha.hexdigest()))
+            if not window:
+                break
+            future, count, next_line, digest = window.popleft()
+            seconds, records = future.result()
+            size = max(1, min(2 * size, _CHUNK_MAX, int(count * _CHUNK_TARGET_S / max(seconds, 1e-6))))
+            for line, graph6, verdict, json_line in records:
+                if verdict == "counterexample":
                     # counterexamples are re-checked once, single-threaded, no budget
-                    rec = _process_line(unbudgeted, rec.line, rec.graph6)
+                    rec = _process_line(unbudgeted, line, graph6)
                     rec.detail = (rec.detail or {}) | {"rechecked": True}
-                out_fh.write(rec.to_json() + "\n")
-                summary.add(rec.verdict, rec.graph6)
+                    verdict, json_line = rec.verdict, rec.to_json()
+                out_fh.write(json_line + "\n")
+                summary.add(verdict, graph6)
             out_fh.flush()
             if cfg.output_path is not None:
                 output_bytes = out_fh.tell()
-            checkpoint.write(chunk[-1][0] + 1, output_bytes)
+            checkpoint.write(next_line, output_bytes, digest)
 
     summary.elapsed_s = time.monotonic() - t0
     if summary.elapsed_s > 0:

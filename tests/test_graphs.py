@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from domminor.graphs import (
 )
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+DATA = Path(__file__).parent / "data"
 
 
 def g6_reference_decode(s: str) -> tuple[int, set[tuple[int, int]]]:
@@ -146,6 +149,29 @@ class TestGraph6:
         with pytest.raises(Graph6ParseError, match="non-ASCII") as ei:
             parse_graph6("Dh\u00e9")
         assert ei.value.offset == 2
+
+    def test_malformed_payload_byte_offset(self):
+        with pytest.raises(Graph6ParseError, match="payload byte") as ei:
+            parse_graph6("D h")
+        assert ei.value.offset == 1
+        long_form = emit_graph6(from_edge_list(70, [(0, 1)]))
+        with pytest.raises(Graph6ParseError, match="payload byte") as ei:
+            parse_graph6(long_form[:9] + " " + long_form[10:])
+        assert ei.value.offset == 9
+
+    def test_atlas_parses_as_pinned(self):
+        # sha256 of every parsed (n, adj) over the vendored atlas, pinned
+        # from the decoder that mapped each set bit to its (i, j) by a walk
+        # from the first column
+        h = hashlib.sha256()
+        count = 0
+        for n in range(9):
+            for line in (DATA / f"graphs{n}.g6").read_text().split():
+                g = parse_graph6(line)
+                h.update(f"{g.n} {list(g.adj)}\n".encode())
+                count += 1
+        assert count == 13599
+        assert h.hexdigest() == "fd1d71894939b2b35d1307d04e7bbf92cd41e4a164ca2a8bda63af4a369f8010"
 
     def test_eight_byte_form_rejected(self):
         with pytest.raises(Graph6ParseError, match="8-byte"):

@@ -1,10 +1,15 @@
+import gc
 import hashlib
+import io
 import json
+import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import domminor.hunt as hm
 from domminor.exact import SearchDeadlineExceeded, has_dominating_kt
 from domminor.generators import complete, cycle, one_subdivision_complete, random_gnp
 from domminor.graphs import emit_graph6
@@ -240,6 +245,164 @@ class TestRunHunt:
         assert summary.counterexamples == ["Dhc", "A_", "C`"]
         recs = read_records(out)
         assert all(r["detail"]["rechecked"] for r in recs)
+
+
+class TestInputDecoding:
+    # undecodable bytes become U+FFFD, which parse_graph6 rejects as non-ASCII
+    RAW = b"Dhc\n\xff\xfeBw\nDhc\n"
+    DECODED = "Dhc\n\ufffd\ufffdBw\nDhc\n"
+
+    def stdin(self, monkeypatch, data):
+        # the text layer's encoding is never used: lines are read as bytes
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
+
+    def check(self, text):
+        recs = [json.loads(ln) for ln in text.splitlines()]
+        assert [(r["line"], r["verdict"]) for r in recs] == [(1, "holds"), (2, "parse-error"), (3, "holds")]
+        assert recs[1]["graph6"] == "\ufffd\ufffdBw" and "non-ASCII" in recs[1]["detail"]["error"]
+
+    def test_file_input(self, tmp_path):
+        p = tmp_path / "c.g6"
+        p.write_bytes(self.RAW)
+        out = tmp_path / "r.jsonl"
+        run_hunt(HuntConfig(input_path=str(p), output_path=str(out)))
+        self.check(out.read_text(encoding="utf-8"))
+
+    def test_stdin(self, monkeypatch):
+        self.stdin(monkeypatch, self.RAW)
+        buf = io.StringIO()
+        run_hunt(HuntConfig(), record_stream=buf)
+        self.check(buf.getvalue())
+
+    def test_stdin_with_checkpoint(self, tmp_path, monkeypatch):
+        self.stdin(monkeypatch, self.RAW)
+        out, ckpt = tmp_path / "r.jsonl", tmp_path / "ck.json"
+        run_hunt(HuntConfig(output_path=str(out), checkpoint_path=str(ckpt)))
+        self.check(out.read_text(encoding="utf-8"))
+        data = json.loads(ckpt.read_text())
+        assert data["next_line"] == 4
+        assert data["input_sha256"] == hashlib.sha256(self.DECODED.encode()).hexdigest()
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_line_breaks_and_fingerprint_pinned(self, tmp_path, monkeypatch, source):
+        # \r\n, a lone \r and \f each end a line, as str.splitlines() splits
+        # the whole text; the numbers and the sha256 of the consumed lines
+        # (not the trailing comment) are pinned from the implementation that
+        # read the whole input and split it
+        raw = b"# head\r\nDhc\rA_\x0cC`\r\n\r\n  Dhc  \r\r\n# c\x0cBw\nA_\r# tail\n"
+        p = tmp_path / "c.g6"
+        p.write_bytes(raw)
+        if source == "stdin":
+            self.stdin(monkeypatch, raw)
+        out, ckpt = tmp_path / "r.jsonl", tmp_path / "ck.json"
+        cfg = HuntConfig(input_path=str(p) if source == "file" else None,
+                         output_path=str(out), checkpoint_path=str(ckpt))
+        run_hunt(cfg)
+        recs = read_records(out)
+        assert [(r["line"], r["graph6"]) for r in recs] == [
+            (2, "Dhc"), (3, "A_"), (4, "C`"), (6, "Dhc"), (9, "Bw"), (10, "A_")
+        ]
+        data = json.loads(ckpt.read_text())
+        assert data["next_line"] == 11
+        assert data["input_sha256"] == "6ee9626bb00b88dbf14eb1fd8618a7b36ac2d216232056a2889f1d8f326e2091"
+
+
+class TestStream:
+    # cheap graphs, so chunks grow past the first size
+    LINES = [emit_graph6(cycle(n)) for n in range(3, 11)] * 50  # 400 lines
+
+    def corpus(self, path, lines=LINES):
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_window_holds_at_most_two_chunks_per_worker(self, tmp_path, monkeypatch):
+        outstanding = Counter()
+
+        class Deferred:
+            def __init__(self, fn, args):
+                self.fn, self.args = fn, args
+
+            def result(self):
+                outstanding["now"] -= 1
+                return self.fn(*self.args)
+
+        class StubPool:
+            def __init__(self, workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def submit(self, fn, *args):
+                outstanding["now"] += 1
+                outstanding["peak"] = max(outstanding["peak"], outstanding["now"])
+                return Deferred(fn, args)
+
+        monkeypatch.setattr(hm, "ProcessPoolExecutor", StubPool)
+        out = tmp_path / "r.jsonl"
+        summary = run_hunt(HuntConfig(input_path=str(self.corpus(tmp_path / "c.g6")), output_path=str(out), workers=3))
+        assert summary.total == 400
+        assert [r["line"] for r in read_records(out)] == list(range(1, 401))
+        assert outstanding == {"now": 0, "peak": 6}
+
+    def test_memory_does_not_grow_with_corpus_length(self, tmp_path, monkeypatch):
+        # chunk sizes pinned (16, 16, 32, then 64 lines), and cyclic garbage
+        # from the search kernels collected before each chunk, so the peak is
+        # what the hunt holds, not what the collector has yet to free
+        monkeypatch.setattr(hm, "_CHUNK_MAX", 64)
+        monkeypatch.setattr(hm, "_CHUNK_TARGET_S", 1e9)
+
+        def collected(cfg, lines, _fn=hm._process_chunk):
+            gc.collect()
+            return _fn(cfg, lines)
+
+        monkeypatch.setattr(hm, "_process_chunk", collected)
+        atlas = "".join((DATA / f"graphs{n}.g6").read_text() for n in range(7)).split()  # 209 graphs
+        peaks = []
+        for reps in (1, 10):
+            p = self.corpus(tmp_path / f"c{reps}.g6", atlas * reps)
+            ckpt = tmp_path / f"ck{reps}.json"
+            cfg = HuntConfig(input_path=str(p), output_path=str(tmp_path / "r.jsonl"), checkpoint_path=str(ckpt))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert run_hunt(cfg).total == 209 * reps
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+    def test_workers_and_resume_inside_a_grown_chunk_match(self, tmp_path, monkeypatch):
+        p = self.corpus(tmp_path / "c.g6")
+        sizes = []
+        with monkeypatch.context() as m:
+            def spied(cfg, lines, _fn=hm._process_chunk):
+                sizes.append(len(lines))
+                return _fn(cfg, lines)
+
+            m.setattr(hm, "_process_chunk", spied)
+            full = tmp_path / "full.jsonl"
+            run_hunt(HuntConfig(input_path=str(p), output_path=str(full)))
+        expected = strip_elapsed(read_records(full))
+        ends = [sum(sizes[: i + 1]) for i in range(len(sizes))]
+        assert max(sizes) > 16 and 150 not in ends  # line 150 ends no chunk
+
+        two = tmp_path / "two.jsonl"
+        run_hunt(HuntConfig(input_path=str(p), output_path=str(two), workers=2))
+        assert [r["line"] for r in read_records(two)] == list(range(1, 401))
+        assert strip_elapsed(read_records(two)) == expected
+
+        # a run over the first 150 lines, resumed over all 400
+        prefix = self.corpus(tmp_path / "prefix.g6", self.LINES[:150])
+        out, ckpt = tmp_path / "part.jsonl", tmp_path / "ck.json"
+        run_hunt(HuntConfig(input_path=str(prefix), output_path=str(out), checkpoint_path=str(ckpt)))
+        assert json.loads(ckpt.read_text())["next_line"] == 151
+        summary = run_hunt(HuntConfig(input_path=str(p), output_path=str(out), checkpoint_path=str(ckpt)))
+        assert summary.total == 400
+        assert strip_elapsed(read_records(out)) == expected
 
 
 class TestSharedFacts:
