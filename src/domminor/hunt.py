@@ -6,14 +6,14 @@ per graph, in input order.  Input is decoded as UTF-8, undecodable bytes
 becoming U+FFFD (so such a line is a parse error), and split into lines as
 ``str.splitlines`` splits.
 
-The input is a stream: it is read lazily and cut into chunks of graph lines,
-and at most two chunks per worker are in flight, so memory does not grow with
-corpus length.  Chunks are sized by time: the first hold a few lines, and
-each later one as many as the previous chunk did in about 50 ms of worker
-time (at most doubling, at most ``_CHUNK_MAX``), so slow graphs go a few at
-a time and cheap ones share one round trip.  Workers send back encoded
-records; the parent writes each chunk's records, flushes, and then writes the
-checkpoint once per chunk.  With one worker the same loop runs in process.
+The input is a stream: it is read lazily and cut into chunks of
+``_CHUNK_LINES`` graph lines, and at most two chunks per worker are in flight,
+so memory does not grow with corpus length as long as its lines end in line
+feeds (a corpus that breaks lines only with other ``splitlines`` separators,
+such as lone carriage returns, is one physical line and is read whole).
+Workers send back encoded records; the parent writes each chunk's records,
+flushes, and then writes the checkpoint once per chunk.  With one worker the
+same loop runs in process.
 
 A byte-offset checkpoint makes interrupted runs resumable with an identical
 final record multiset; worker counts and chunk sizes never change record
@@ -84,13 +84,9 @@ KNOWN_FILTERS = ("2k2-free",)
 
 VERDICTS = ("holds", "counterexample", "skipped-filter", "timeout", "capacity", "parse-error")
 
-# Chunks of graph lines go to the workers.  The first chunks hold
-# _CHUNK_FIRST lines; after each chunk the size moves toward the number of
-# lines the last chunk did in _CHUNK_TARGET_S of worker time, at most doubling
-# and at most _CHUNK_MAX.
-_CHUNK_FIRST = 16
-_CHUNK_MAX = 1024
-_CHUNK_TARGET_S = 0.05
+# Graph lines per chunk sent to a worker: one round trip and one checkpoint
+# write per chunk.  An interrupt loses at most 2 x workers chunks of work.
+_CHUNK_LINES = 256
 
 
 class HuntError(Exception):
@@ -272,15 +268,14 @@ def _process_line(cfg: HuntConfig, line_no: int, text: str) -> HuntRecord:
     return rec
 
 
-def _process_chunk(cfg: HuntConfig, lines: list[tuple[int, str]]) -> tuple[float, list[tuple]]:
-    """The seconds a chunk of (line number, text) pairs took, and its records
-    as (line, graph6, verdict, JSON line) tuples."""
-    t0 = time.perf_counter()
+def _process_chunk(cfg: HuntConfig, lines: list[tuple[int, str]]) -> list[tuple]:
+    """The records of a chunk of (line number, text) pairs, as (line, graph6,
+    verdict, JSON line) tuples."""
     out = []
     for no, text in lines:
         rec = _process_line(cfg, no, text)
         out.append((no, text, rec.verdict, rec.to_json()))
-    return time.perf_counter() - t0, out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +461,15 @@ def run_hunt(cfg: HuntConfig, record_stream=None) -> HuntSummary:
         pool = stack.enter_context(ProcessPoolExecutor(cfg.workers)) if cfg.workers > 1 else _InProcess()
         unbudgeted = dataclasses.replace(cfg, time_budget_s=None)
         graphs = checkpoint.graph_lines(lines)
-        window: deque = deque()  # (future, line count, next line, input sha256) per chunk, in input order
-        size = _CHUNK_FIRST
+        window: deque = deque()  # (future, next line, input sha256) per chunk, in input order
         while True:
-            while len(window) < 2 * cfg.workers and (chunk := list(islice(graphs, size))):
+            while len(window) < 2 * cfg.workers and (chunk := list(islice(graphs, _CHUNK_LINES))):
                 future = pool.submit(_process_chunk, cfg, chunk)
-                window.append((future, len(chunk), chunk[-1][0] + 1, checkpoint.sha.hexdigest()))
+                window.append((future, chunk[-1][0] + 1, checkpoint.sha.hexdigest()))
             if not window:
                 break
-            future, count, next_line, digest = window.popleft()
-            seconds, records = future.result()
-            size = max(1, min(2 * size, _CHUNK_MAX, int(count * _CHUNK_TARGET_S / max(seconds, 1e-6))))
-            for line, graph6, verdict, json_line in records:
+            future, next_line, digest = window.popleft()
+            for line, graph6, verdict, json_line in future.result():
                 if verdict == "counterexample":
                     # counterexamples are re-checked once, single-threaded, no budget
                     rec = _process_line(unbudgeted, line, graph6)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -306,16 +307,32 @@ class TestInputDecoding:
         assert data["next_line"] == 11
         assert data["input_sha256"] == "6ee9626bb00b88dbf14eb1fd8618a7b36ac2d216232056a2889f1d8f326e2091"
 
+    def test_cr_only_input_is_numbered_as_splitlines(self, tmp_path):
+        # a lone '\r' ends a line as in str.splitlines(); such a corpus is
+        # one physical line, so it is read whole, but numbered and hashed the
+        # same
+        p = tmp_path / "c.g6"
+        p.write_bytes(b"Dhc\rA_\r\rBw\r")
+        out, ckpt = tmp_path / "r.jsonl", tmp_path / "ck.json"
+        run_hunt(HuntConfig(input_path=str(p), output_path=str(out), checkpoint_path=str(ckpt)))
+        assert [(r["line"], r["graph6"]) for r in read_records(out)] == [(1, "Dhc"), (2, "A_"), (4, "Bw")]
+        data = json.loads(ckpt.read_text())
+        assert data["next_line"] == 5
+        assert data["input_sha256"] == hashlib.sha256(b"Dhc\nA_\n\nBw\n").hexdigest()
+
 
 class TestStream:
-    # cheap graphs, so chunks grow past the first size
+    # cheap graphs, over more than one chunk
     LINES = [emit_graph6(cycle(n)) for n in range(3, 11)] * 50  # 400 lines
 
     def corpus(self, path, lines=LINES):
         path.write_text("\n".join(lines) + "\n")
         return path
 
-    def test_window_holds_at_most_two_chunks_per_worker(self, tmp_path, monkeypatch):
+    def stub_pool(self, monkeypatch):
+        """Replace the process pool by one that runs each chunk when its
+        result is read; the returned counter holds the chunks outstanding now
+        and at the peak."""
         outstanding = Counter()
 
         class Deferred:
@@ -342,18 +359,47 @@ class TestStream:
                 return Deferred(fn, args)
 
         monkeypatch.setattr(hm, "ProcessPoolExecutor", StubPool)
+        return outstanding
+
+    def test_window_holds_at_most_two_chunks_per_worker(self, tmp_path, monkeypatch):
+        outstanding = self.stub_pool(monkeypatch)
+        monkeypatch.setattr(hm, "_CHUNK_LINES", 16)  # 25 chunks
         out = tmp_path / "r.jsonl"
         summary = run_hunt(HuntConfig(input_path=str(self.corpus(tmp_path / "c.g6")), output_path=str(out), workers=3))
         assert summary.total == 400
         assert [r["line"] for r in read_records(out)] == list(range(1, 401))
         assert outstanding == {"now": 0, "peak": 6}
 
+    def test_slow_tail_is_checkpointed_every_256_lines(self, tmp_path, monkeypatch):
+        # 600 cheap graphs, then 20 slow ones: slow graphs go in chunks of
+        # the same size, so at most 256 lines are done between two
+        # checkpoint writes
+        self.stub_pool(monkeypatch)
+
+        def slow_tail(cfg, no, text, _fn=hm._process_line):
+            if no > 600:
+                time.sleep(0.005)
+            return _fn(cfg, no, text)
+
+        monkeypatch.setattr(hm, "_process_line", slow_tail)
+        writes = []
+
+        def spied(self, next_line, output_bytes, input_sha256, _fn=hm._Checkpoint.write):
+            writes.append(next_line)
+            return _fn(self, next_line, output_bytes, input_sha256)
+
+        monkeypatch.setattr(hm._Checkpoint, "write", spied)
+        p = self.corpus(tmp_path / "c.g6", self.LINES + self.LINES[:220])
+        out, ckpt = tmp_path / "r.jsonl", tmp_path / "ck.json"
+        summary = run_hunt(HuntConfig(input_path=str(p), output_path=str(out), checkpoint_path=str(ckpt), workers=2))
+        assert summary.total == 620
+        assert writes == [257, 513, 621]
+
     def test_memory_does_not_grow_with_corpus_length(self, tmp_path, monkeypatch):
-        # chunk sizes pinned (16, 16, 32, then 64 lines), and cyclic garbage
-        # from the search kernels collected before each chunk, so the peak is
-        # what the hunt holds, not what the collector has yet to free
-        monkeypatch.setattr(hm, "_CHUNK_MAX", 64)
-        monkeypatch.setattr(hm, "_CHUNK_TARGET_S", 1e9)
+        # 64-line chunks, so the short corpus spans several, and cyclic
+        # garbage from the search kernels collected before each chunk, so the
+        # peak is what the hunt holds, not what the collector has yet to free
+        monkeypatch.setattr(hm, "_CHUNK_LINES", 64)
 
         def collected(cfg, lines, _fn=hm._process_chunk):
             gc.collect()
@@ -375,7 +421,7 @@ class TestStream:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0], peaks
 
-    def test_workers_and_resume_inside_a_grown_chunk_match(self, tmp_path, monkeypatch):
+    def test_workers_and_resume_inside_a_chunk_match(self, tmp_path, monkeypatch):
         p = self.corpus(tmp_path / "c.g6")
         sizes = []
         with monkeypatch.context() as m:
@@ -387,8 +433,7 @@ class TestStream:
             full = tmp_path / "full.jsonl"
             run_hunt(HuntConfig(input_path=str(p), output_path=str(full)))
         expected = strip_elapsed(read_records(full))
-        ends = [sum(sizes[: i + 1]) for i in range(len(sizes))]
-        assert max(sizes) > 16 and 150 not in ends  # line 150 ends no chunk
+        assert sizes == [256, 144]  # line 150 ends no chunk
 
         two = tmp_path / "two.jsonl"
         run_hunt(HuntConfig(input_path=str(p), output_path=str(two), workers=2))
