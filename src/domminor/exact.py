@@ -132,6 +132,21 @@ def model_from_lists(lists: list[list[int]]) -> MinorModel:
 # clique / independence / chromatic numbers
 # ---------------------------------------------------------------------------
 
+def _greedy_class_count(adj: tuple[int, ...], p: int, enough: int) -> int:
+    """The class count of a greedy colouring of the vertex set ``p``, an
+    upper bound on any clique inside ``p``, or ``enough`` if that is less:
+    the colouring stops once it has that many classes."""
+    classes = 0
+    while p and classes < enough:
+        classes += 1
+        avail = p
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            avail &= ~(1 << v) & ~adj[v]
+            p &= ~(1 << v)
+    return classes
+
+
 @graph_memo
 def clique_number(g: Graph) -> tuple[int, int]:
     """Exact maximum clique as (omega, vertex mask), deterministic witness.
@@ -146,19 +161,6 @@ def clique_number(g: Graph) -> tuple[int, int]:
     best_size = 0
     best_mask = 0
 
-    def greedy_bound(p: int) -> int:
-        # greedy coloring of the candidate set; class count bounds the clique
-        classes = 0
-        rest = p
-        while rest:
-            classes += 1
-            avail = rest
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                avail &= ~(1 << v) & ~adj[v]
-                rest &= ~(1 << v)
-        return classes
-
     def expand(r_mask: int, r_size: int, p: int) -> None:
         nonlocal best_size, best_mask
         if p == 0:
@@ -166,7 +168,9 @@ def clique_number(g: Graph) -> tuple[int, int]:
                 best_size, best_mask = r_size, r_mask
             return
         # the candidate count is the cheap bound, the greedy colouring the tight one
-        if r_size + p.bit_count() <= best_size or r_size + greedy_bound(p) <= best_size:
+        if r_size + p.bit_count() <= best_size:
+            return
+        if r_size + _greedy_class_count(adj, p, best_size - r_size + 1) <= best_size:
             return
         while p:
             if r_size + p.bit_count() <= best_size:
@@ -176,7 +180,10 @@ def clique_number(g: Graph) -> tuple[int, int]:
             expand(r_mask | b, r_size + 1, p & adj[v])
             p &= ~b
 
-    expand(0, 0, g.full_mask)
+    try:
+        expand(0, 0, g.full_mask)
+    finally:
+        del expand  # the closure refers to itself; free it without the cyclic collector
     return best_size, best_mask
 
 
@@ -255,9 +262,11 @@ def _k_colorable(g: Graph, k: int, deadline: Deadline) -> list[int] | None:
                 forbidden[u] &= ~(1 << c)
         return False
 
-    if rec(0, 0):
-        return colors
-    return None
+    try:
+        found = rec(0, 0)
+    finally:
+        del rec  # the closure refers to itself; free it without the cyclic collector
+    return colors if found else None
 
 
 @graph_memo
@@ -411,6 +420,15 @@ def has_dominating_kt(
     ``bytearray`` of 2^n bytes (64 KiB at the default cap).  It skips only
     subtrees that return ``None``, so the returned model is the one the
     unmemoised search finds.
+
+    The walk is also cut by the singleton-clique bound.  Any two single-vertex
+    branch sets of a model are adjacent, so the singletons form a clique and
+    number at most ω, at most the class count of a greedy colouring; every
+    other set has two or more vertices.  So ``rest`` sets still to be chosen
+    from ``cand`` after S need ``rest + max(0, rest - classes(cand))``
+    vertices, and S has at most ``avail`` minus that many.  Like the memo,
+    the bound skips only subtrees that fail, so the returned model does not
+    change.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -423,6 +441,7 @@ def has_dominating_kt(
         return model
     deadline = Deadline(deadline_s)
     dead = bytearray(1 << g.n) if _dead is None else _dead
+    adj = g.adj
 
     def rec(cand: int, chosen: list[int], remaining: int) -> MinorModel | None:
         deadline.tick()
@@ -432,7 +451,11 @@ def has_dominating_kt(
         if avail < remaining or 0 < dead[cand] <= remaining:
             return None
         rest = remaining - 1
-        for s, nb in _connected_sets_with_neighbors(g, cand, avail - rest):
+        limit = avail - rest
+        if rest >= 2:
+            # the rest sets include at most classes(cand) singletons
+            limit -= rest - _greedy_class_count(adj, cand, rest)
+        for s, nb in _connected_sets_with_neighbors(g, cand, limit):
             nxt = cand & ~s & nb
             if nxt.bit_count() >= rest:
                 chosen.append(s)
@@ -443,7 +466,10 @@ def has_dominating_kt(
         dead[cand] = remaining
         return None
 
-    model = rec(g.full_mask, [], t)
+    try:
+        model = rec(g.full_mask, [], t)
+    finally:
+        del rec  # the closure refers to itself; free it without the cyclic collector
     if model is not None:
         _require_valid(g, model)
     return model
@@ -452,7 +478,13 @@ def has_dominating_kt(
 def has_kt_minor(
     g: Graph, t: int, cap: int = DEFAULT_SEARCH_CAP, deadline_s: float | None = None
 ) -> bool:
-    """Exact ordinary K_t minor decision (small-scale exhaustive search)."""
+    """Exact ordinary K_t minor decision (small-scale exhaustive search).
+
+    The walk is cut by the singleton-clique bound of
+    :func:`has_dominating_kt`: single-vertex branch sets are pairwise
+    adjacent, so at most ``classes(avail)`` of the ``remaining - 1`` sets
+    after S are singletons and the others need two vertices each.
+    """
     if t < 1:
         raise ValueError("t must be >= 1")
     _check_cap(g, cap)
@@ -462,6 +494,7 @@ def has_kt_minor(
     if omega >= t:
         return True
     deadline = Deadline(deadline_s)
+    adj = g.adj
     # Ordinary-model validity is order-insensitive, so enumerate families with
     # strictly increasing set minima (each new set lives above the previous
     # set's least vertex).
@@ -470,18 +503,25 @@ def has_kt_minor(
         if remaining == 0:
             return True
         avail = g.full_mask & ~used & ~((1 << floor) - 1)
-        if avail.bit_count() < remaining:
+        rest = remaining - 1
+        limit = avail.bit_count() - rest
+        if rest >= 2:
+            limit -= rest - _greedy_class_count(adj, avail, rest)
+        if limit < 1:
             return False
-        for s, nb in _connected_sets_with_neighbors(g, avail, avail.bit_count() - (remaining - 1)):
+        for s, nb in _connected_sets_with_neighbors(g, avail, limit):
             if any(s & nm == 0 for nm in nbr_masks):
                 continue
             nbr_masks.append(nb)
-            if rec(used | s, (s & -s).bit_length(), nbr_masks, remaining - 1):
+            if rec(used | s, (s & -s).bit_length(), nbr_masks, rest):
                 return True
             nbr_masks.pop()
         return False
 
-    return rec(0, 0, [], t)
+    try:
+        return rec(0, 0, [], t)
+    finally:
+        del rec  # the closure refers to itself; free it without the cyclic collector
 
 
 def dominating_hadwiger_number(

@@ -116,9 +116,11 @@ def find_induced(host: Graph, pattern: Pattern) -> Embedding | None:
                 return True
         return False
 
-    if extend(0, host.full_mask):
-        return Embedding(pattern.roles, tuple(assignment))
-    return None
+    try:
+        found = extend(0, host.full_mask)
+    finally:
+        del extend  # the closure refers to itself; free it without the cyclic collector
+    return Embedding(pattern.roles, tuple(assignment)) if found else None
 
 
 def _scan_2k2(n: int, adj: Sequence[int], u0: int, v0: int) -> tuple[int, int, int, int] | None:

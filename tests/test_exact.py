@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -46,7 +47,7 @@ from domminor.graphs import (
     parse_graph6,
     set_to_list,
 )
-from domminor.patterns import find_2k2
+from domminor.patterns import find_2k2, find_induced, path_pattern
 
 C5 = cycle(5)
 DATA = Path(__file__).parent / "data"
@@ -559,3 +560,83 @@ class TestDeepSearch:
             h.update(f"{label} {hd} {model}\n".encode())
         assert values == [8, 7, 7, 9, 8, 8, 5, 5, 5, 5, 5, 3]
         assert h.hexdigest() == "cedf88ccc92e5963de61767362ea5c41"
+
+
+class TestSingletonCliqueBound:
+    # single-vertex branch sets are pairwise adjacent, so a K_h model has at
+    # most classes(V) singletons and h <= (n + classes(V)) // 2
+
+    @staticmethod
+    def classes(g: Graph) -> int:
+        return exact_mod._greedy_class_count(g.adj, g.full_mask, g.n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graphs(max_n=7, min_n=1))
+    def test_bound_is_sound(self, g):
+        assert dominating_hadwiger_number(g)[0] <= hadwiger_number(g) <= (g.n + self.classes(g)) // 2
+
+    def test_atlas_hadwiger_pinned(self):
+        # (graph6, h) over all 1,252 graphs with 1 <= n <= 7; the digest was
+        # taken from the search before the bound, and a cut that dropped a
+        # model would lower some h
+        h = hashlib.md5()
+        count = 0
+        for n in range(1, 8):
+            for line in (DATA / f"graphs{n}.g6").read_text().split():
+                h.update(f"{line} {hadwiger_number(parse_graph6(line))}\n".encode())
+                count += 1
+        assert count == 1252
+        assert h.hexdigest() == "bfa73a5b1ab9ac5bd23a6934e680efb6"
+
+    def test_bound_on_deep_search_graphs(self):
+        # h_d as pinned by TestDeepSearch; the ordinary h of the sparse
+        # G(n,p) graphs is too slow to compute here
+        pinned = (8, 7, 7, 9, 8, 8, 5, 5, 5, 5, 5, 3)
+        for (label, make), hd in zip(TestDeepSearch.GRAPHS, pinned, strict=True):
+            g = make()
+            assert hd <= (g.n + self.classes(g)) // 2, label
+
+    def test_walk_stays_cut(self, monkeypatch):
+        walk = exact_mod._connected_sets_with_neighbors
+        yields = 0
+
+        def counting(*args):
+            nonlocal yields
+            for pair in walk(*args):
+                yields += 1
+                yield pair
+
+        monkeypatch.setattr(exact_mod, "_connected_sets_with_neighbors", counting)
+        assert dominating_hadwiger_number(random_2k2_free(14, 0.3, 1))[0] == 7
+        assert yields <= 60_000  # 287,099 without the bound
+
+
+class TestNoReferenceCycles:
+    def test_searches_leave_no_cyclic_garbage(self):
+        # a recursive closure that keeps its own cell alive is freed only by
+        # the cyclic collector; every search must free its closures itself
+        graphs = [
+            parse_graph6(line)
+            for n in range(1, 7)
+            for line in (DATA / f"graphs{n}.g6").read_text().split()
+        ]
+        assert len(graphs) == 208
+        p4 = path_pattern(4)
+        calls = (
+            clique_number,
+            chromatic_number,
+            lambda g: has_dominating_kt(g, 3),
+            lambda g: has_kt_minor(g, 4),
+            lambda g: find_induced(g, p4),
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            for call in calls:
+                clique_number.cache_clear()
+                chromatic_number.cache_clear()
+                for g in graphs:
+                    call(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
