@@ -160,7 +160,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_hd(args) -> int:
     g = _load_graph(args)
-    hd, witness = exact.dominating_hadwiger_number(g, cap=args.cap)
+    try:
+        hd, witness = exact.dominating_hadwiger_number(g, cap=args.cap)
+    except ValueError as exc:  # the empty graph
+        raise CliError(str(exc))
     obj = {
         "schema": "domminor/hd/v1",
         "hd": hd,
@@ -177,12 +180,15 @@ def _cmd_gen(args) -> int:
             raise CliError(f"family {name!r} requires an explicit --seed")
         if len(args.params) != 2:
             raise CliError(f"family {name!r} takes parameters: n p")
-        n, p = int(args.params[0]), float(args.params[1])
-        g = (
-            generators.random_gnp(n, p, args.seed)
-            if name == "gnp"
-            else generators.random_2k2_free(n, p, args.seed)
-        )
+        try:
+            n, p = int(args.params[0]), float(args.params[1])
+        except ValueError:
+            raise CliError(f"family {name!r} needs an integer n and a number p, got {args.params}")
+        make = generators.random_gnp if name == "gnp" else generators.random_2k2_free
+        try:
+            g = make(n, p, args.seed)
+        except ValueError as exc:
+            raise CliError(str(exc))
     else:
         try:
             g = generators.family(name, [int(x) for x in args.params])

@@ -92,11 +92,16 @@ def verify_dominating_model(g: Graph, model: MinorModel) -> ModelReport:
     bad = _structural_report(g, model)
     if bad is not None:
         return bad
+    adj = g.adj
     for j in range(1, len(model)):
         for i in range(j):
             ti = model[i]
-            for v in bits(model[j]):
-                if g.adj[v] & ti == 0:
+            rest = model[j]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                if adj[v] & ti == 0:
                     return ModelReport(
                         False, "domination", i + 1, j + 1, v,
                         f"vertex {v} in T_{j + 1} has no neighbor in T_{i + 1}",
@@ -203,18 +208,23 @@ def _dsatur_greedy(g: Graph) -> tuple[int, list[int]]:
     # (saturation, degree, n - u) packed into one int per vertex, each field
     # below 2^width; a coloured vertex's key is -1
     width = n.bit_length()
-    low = (1 << width) - 1
+    field = (1 << width) - 1
     sat_step = 1 << 2 * width
-    key = [row.bit_count() << width | n - u for u, row in enumerate(g.adj)]
+    adj = g.adj
+    key = [row.bit_count() << width | n - u for u, row in enumerate(adj)]
     uncolored = g.full_mask
     for _ in range(n):
-        v = n - (max(key) & low)
+        v = n - (max(key) & field)
         key[v] = -1
         uncolored ^= 1 << v
         f = forbidden[v]
         c_bit = ~f & (f + 1)  # the least colour no neighbour uses
         colors[v] = c_bit.bit_length() - 1
-        for u in bits(g.adj[v] & uncolored):
+        nbrs = adj[v] & uncolored
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            u = low.bit_length() - 1
             if not forbidden[u] & c_bit:
                 forbidden[u] |= c_bit
                 key[u] += sat_step

@@ -204,12 +204,17 @@ def lift_model(g: Graph, prefix: MinorModel, residual: MinorModel, residual_quot
     pmask = 0
     for p in prefix:
         pmask |= p
+    adj = g.adj
     for t in kept:
         if t & pmask:
             raise LiftError("residual set overlaps a prefix set")
         for p in prefix:
-            for v in bits(t):
-                if g.adj[v] & p == 0:
+            rest = t
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                if adj[v] & p == 0:
                     raise LiftError(
                         f"kept residual vertex {v} has no neighbor in prefix set {set_to_list(p)}"
                     )

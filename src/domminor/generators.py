@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graphs import Graph, from_edge_list
-from .patterns import _scan_2k2, find_2k2
+from .graphs import Graph, GraphConstructionError, from_edge_list
+from .patterns import _partner, _scan_2k2, find_2k2
 
 _MASK64 = (1 << 64) - 1
 
@@ -31,10 +31,6 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         return self.next_u64() % n
-
-    def chance(self, p: float) -> bool:
-        # 53-bit threshold comparison; exact for p in {0, 1}
-        return (self.next_u64() >> 11) < int(p * (1 << 53))
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +149,52 @@ def family_names() -> list[str]:
 # ---------------------------------------------------------------------------
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:
-    """G(n, p) with each pair decided independently from the seeded stream."""
+    """G(n, p) with each pair decided independently from the seeded stream.
+
+    Pairs are drawn in ``combinations(range(n), 2)`` order; a pair is an edge
+    when the top 53 bits of its draw fall below ``p * 2**53``, which is exact
+    for p in {0, 1}.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    rng = SplitMix64(seed)
-    edges = [(i, j) for i, j in combinations(range(n), 2) if rng.chance(p)]
-    return from_edge_list(n, edges)
+    if n < 0:
+        raise GraphConstructionError("vertex count must be non-negative")
+    draw = SplitMix64(seed).next_u64
+    threshold = int(p * (1 << 53))
+    adj = [0] * n
+    for i in range(n):
+        row = adj[i]
+        bit_i = 1 << i
+        for j in range(i + 1, n):
+            if draw() >> 11 < threshold:
+                row |= 1 << j
+                adj[j] |= bit_i
+        adj[i] = row
+    return Graph(n, tuple(adj))
+
+
+def _next_witness(
+    n: int, adj: list[int], dirty: int, frontier: int
+) -> tuple[tuple[int, int, int, int] | None, int]:
+    """``find_2k2``'s witness of the graph ``(n, adj)`` during a repair loop,
+    and the dirty set left after the search.
+
+    Edges are numbered ``u * n + v`` (``u < v``), which is lexicographic
+    order.  The caller guarantees that every edge numbered below
+    ``frontier`` has no 2K2 partner unless its bit is set in ``dirty``.  So
+    the least dirty edge with a partner is the witness's first edge; a dirty
+    edge found partnerless is unflagged.  If none has a partner, the scan
+    resumes at the frontier.
+    """
+    full = (1 << n) - 1
+    while dirty:
+        low = dirty & -dirty
+        u, v = divmod(low.bit_length() - 1, n)
+        pair = _partner(full, adj, u, v)
+        if pair is not None:
+            return (u, v, *pair), dirty
+        dirty ^= low
+    return _scan_2k2(n, adj, *divmod(frontier, n)), 0
 
 
 def random_2k2_free(n: int, p: float, seed: int) -> Graph:
@@ -168,13 +204,15 @@ def random_2k2_free(n: int, p: float, seed: int) -> Graph:
     Each repair strictly increases the edge count, so the loop terminates; the
     result is re-verified 2K2-free. The repair biases toward denser graphs.
 
-    The witness repaired is always ``find_2k2``'s, but after the first scan
-    each scan resumes instead of restarting. Edges before the last witness's
-    first edge ``(a1, a2)`` had no partner, and an added edge ``uv`` only
-    shrinks non-neighbourhoods, so such an edge can gain a partner only in
-    ``uv``, which needs it to avoid N[u] and N[v]. The next scan therefore
-    starts at the least of ``(a1, a2)``, ``uv`` and the least edge avoiding
-    N[u] and N[v].
+    The witness repaired is always ``find_2k2``'s, found without rescanning
+    edges already known to be partnerless.  The loop keeps a frontier M, the
+    first edge of the last witness a scan found, and a set of dirty edges
+    before M; every edge before M that is not dirty has no 2K2 partner.  An
+    added edge ``uv`` only shrinks non-neighbourhoods, so the only edges
+    that can gain a partner are ``uv`` itself and the edges avoiding N[u]
+    and N[v], whose new partner is ``uv``; those before M are flagged dirty.
+    The next witness is the least dirty edge that has a partner, or else the
+    first witness of a scan resumed at M (see :func:`_next_witness`).
     """
     g = random_gnp(n, p, seed)
     rng = SplitMix64(seed ^ 0xD2B74407B1CE6E93)
@@ -182,21 +220,24 @@ def random_2k2_free(n: int, p: float, seed: int) -> Graph:
     adj = list(g.adj)
     w = find_2k2(g)
     found = None if w is None else w.vertices
+    frontier = dirty = 0
     while found is not None:
         a1, a2, b1, b2 = found
+        if a1 * n + a2 > frontier:  # a scan's witness; a dirty one lies below M
+            frontier = a1 * n + a2
         u, v = ((a1, b1), (a1, b2), (a2, b1), (a2, b2))[rng.below(4)]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        start = min((a1, a2), (min(u, v), max(u, v)))
+        dirty |= 1 << (u * n + v if u < v else v * n + u)
         clear = full & ~adj[u] & ~adj[v]
-        while clear:
-            low = clear & -clear
-            clear ^= low
-            above = adj[low.bit_length() - 1] & clear
-            if above:
-                start = min(start, (low.bit_length() - 1, (above & -above).bit_length() - 1))
-                break
-        found = _scan_2k2(n, adj, *start)
+        rows = clear & ((2 << frontier // n) - 1)
+        while rows:
+            low = rows & -rows
+            rows ^= low
+            x = low.bit_length() - 1
+            dirty |= (adj[x] & clear & -(low << 1)) << x * n
+        dirty &= (1 << frontier) - 1
+        found, dirty = _next_witness(n, adj, dirty, frontier)
     g = Graph(n, tuple(adj))
     if find_2k2(g) is not None:
         raise RuntimeError("repair loop returned a graph that still contains a 2K2")

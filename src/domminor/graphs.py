@@ -333,13 +333,24 @@ def induced_subgraph(g: Graph, s: int) -> tuple[Graph, tuple[int, ...]]:
     The returned tuple ``vertices`` lists the original ids in ascending order;
     new vertex ``i`` corresponds to original vertex ``vertices[i]``.
     """
-    verts = set_to_list(s & g.full_mask)
-    index = {v: i for i, v in enumerate(verts)}
+    s &= g.full_mask
+    verts = []
+    new_bit = [0] * g.n  # original vertex -> its bit in the subgraph
+    rest = s
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        new_bit[v] = 1 << len(verts)
+        verts.append(v)
     adj = []
     for v in verts:
         row = 0
-        for u in bits(g.adj[v] & s):
-            row |= 1 << index[u]
+        nbrs = g.adj[v] & s
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            row |= new_bit[low.bit_length() - 1]
         adj.append(row)
     return Graph(len(verts), tuple(adj)), tuple(verts)
 
@@ -347,8 +358,10 @@ def induced_subgraph(g: Graph, s: int) -> tuple[Graph, tuple[int, ...]]:
 def relabel_mask(mask: int, vertices: tuple[int, ...]) -> int:
     """Map a subgraph-coordinate mask back through an induced-subgraph bijection."""
     out = 0
-    for i in bits(mask):
-        out |= 1 << vertices[i]
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= 1 << vertices[low.bit_length() - 1]
     return out
 
 
@@ -359,9 +372,12 @@ def complement(g: Graph) -> Graph:
 
 def neighbors_of_set(g: Graph, s: int) -> int:
     """Union of open neighborhoods of the vertices in ``s``."""
+    adj = g.adj
     out = 0
-    for v in bits(s):
-        out |= g.adj[v]
+    while s:
+        low = s & -s
+        s ^= low
+        out |= adj[low.bit_length() - 1]
     return out
 
 

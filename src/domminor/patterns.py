@@ -94,20 +94,26 @@ def find_induced(host: Graph, pattern: Pattern) -> Embedding | None:
     image of every earlier template neighbour of i and non-adjacent to the
     image of every earlier non-neighbour.  Candidates are tried low bit
     first, so complete assignments are reached in lexicographic order and the
-    first one is the least.
+    first one is the least; the last position takes its least candidate.
     """
     t = pattern.template
     k = t.n
+    if k == 0:
+        return Embedding(pattern.roles, ())
     adj = host.adj
     earlier = [[(j, t.has_edge(i, j)) for j in range(i)] for i in range(k)]
     assignment = [0] * k
+    last = k - 1
 
     def extend(i: int, free: int) -> bool:
-        if i == k:
-            return True
         cand = free
         for j, edge in earlier[i]:
             cand &= adj[assignment[j]] if edge else ~adj[assignment[j]]
+        if i == last:
+            if not cand:
+                return False
+            assignment[i] = (cand & -cand).bit_length() - 1
+            return True
         while cand:
             low = cand & -cand
             cand ^= low
@@ -123,35 +129,42 @@ def find_induced(host: Graph, pattern: Pattern) -> Embedding | None:
     return Embedding(pattern.roles, tuple(assignment)) if found else None
 
 
+def _partner(full: int, adj: Sequence[int], u: int, v: int) -> tuple[int, int] | None:
+    """Least edge ``(w, x)``, ``w < x``, avoiding N[u] and N[v] for the edge
+    ``uv`` of the graph ``adj`` on vertex mask ``full``; ``None`` if none."""
+    rest = full & ~adj[u] & ~adj[v]  # u and v are each other's neighbours
+    free = rest
+    # no neighbour of w in rest lies below w: that vertex would have had w as
+    # a neighbour in rest and been returned first; so the last vertex of rest
+    # needs no test
+    while free & (free - 1):
+        low = free & -free
+        free ^= low
+        nbrs = adj[low.bit_length() - 1] & rest
+        if nbrs:
+            return low.bit_length() - 1, (nbrs & -nbrs).bit_length() - 1
+    return None
+
+
 def _scan_2k2(n: int, adj: Sequence[int], u0: int, v0: int) -> tuple[int, int, int, int] | None:
     """First 2K2 witness ``(u, v, w, x)`` of the graph ``(n, adj)`` whose
     first edge ``(u, v)`` is at or after ``(u0, v0)`` in lexicographic order.
 
     Edges are scanned as ``(u, v)`` with ``u < v``; the partner ``(w, x)`` of
-    the first edge that has one is the least edge avoiding N[u] and N[v].
+    the first edge that has one is its :func:`_partner`.
     """
     full = (1 << n) - 1
     for u in range(u0, n):
-        row = adj[u]
-        outside_u = full & ~row & ~(1 << u)
-        later = row >> (u + 1) << (u + 1)
+        later = adj[u] >> (u + 1) << (u + 1)
         if u == u0:
             later &= ~((1 << v0) - 1)
         while later:
             low = later & -later
             later ^= low
             v = low.bit_length() - 1
-            rest = outside_u & ~adj[v]
-            free = rest
-            # no neighbour of w in rest lies below w: that vertex would have
-            # had w as a neighbour in rest and been returned first; so the
-            # last vertex of rest needs no test
-            while free & (free - 1):
-                lw = free & -free
-                free ^= lw
-                partner = adj[lw.bit_length() - 1] & rest
-                if partner:
-                    return u, v, lw.bit_length() - 1, (partner & -partner).bit_length() - 1
+            pair = _partner(full, adj, u, v)
+            if pair is not None:
+                return u, v, *pair
     return None
 
 

@@ -121,6 +121,11 @@ class TestHd:
         code, obj = run_json(capsys, "hd", obj["graph6"])
         assert code == 1 and "cap" in obj["error"]
 
+    def test_empty_graph_exit_1(self, capsys):
+        code, obj = run_json(capsys, "hd", "?")
+        assert code == 1
+        assert obj["schema"] == "domminor/error/v1" and "empty graph" in obj["error"]
+
 
 class TestGen:
     def test_subdivision(self, capsys):
@@ -144,6 +149,26 @@ class TestGen:
     def test_unknown_family(self, capsys):
         code, obj = run_json(capsys, "gen", "moebius")
         assert code == 1
+
+    def test_gnp_p_out_of_range_exit_1(self, capsys):
+        code, obj = run_json(capsys, "gen", "gnp", "5", "1.5", "--seed", "1")
+        assert code == 1
+        assert obj["schema"] == "domminor/error/v1" and "[0, 1]" in obj["error"]
+
+    def test_2k2_free_p_out_of_range_exit_1(self, capsys):
+        code, obj = run_json(capsys, "gen", "2k2-free", "5", "-0.5", "--seed", "1")
+        assert code == 1
+        assert obj["schema"] == "domminor/error/v1" and "[0, 1]" in obj["error"]
+
+    def test_non_numeric_p_exit_1(self, capsys):
+        code, obj = run_json(capsys, "gen", "gnp", "5", "x", "--seed", "1")
+        assert code == 1
+        assert obj["schema"] == "domminor/error/v1" and "number p" in obj["error"]
+
+    def test_non_integer_n_exit_1(self, capsys):
+        code, obj = run_json(capsys, "gen", "gnp", "3.5", ".5", "--seed", "1")
+        assert code == 1
+        assert obj["schema"] == "domminor/error/v1" and "integer n" in obj["error"]
 
 
 class TestConvert:

@@ -20,7 +20,7 @@ from domminor.generators import (
     t_graph,
     two_k2,
 )
-from domminor.graphs import Graph, complement
+from domminor.graphs import Graph, GraphConstructionError, complement
 from domminor.patterns import (
     banner_pattern,
     find_2k2,
@@ -98,6 +98,21 @@ class TestRandom:
         with pytest.raises(ValueError):
             random_gnp(5, 1.5, 0)
 
+    def test_n_validated(self):
+        with pytest.raises(GraphConstructionError):
+            random_gnp(-1, 0.5, 0)
+
+    def test_gnp_pinned(self):
+        # digest of the graphs drawn pair by pair through a 53-bit threshold
+        # comparison, in combinations(range(n), 2) order
+        h = hashlib.md5()
+        for n in range(31):
+            for p in (0.0, 0.08, 0.15, 0.25, 0.4, 0.5, 0.6, 0.8, 1.0):
+                for seed in range(4):
+                    g = random_gnp(n, p, seed)
+                    h.update(f"{g.n} {g.adj}\n".encode())
+        assert h.hexdigest() == "df77ff8857e3e529764be0444dfc0058"
+
     def test_splitmix_frozen_stream(self):
         # frozen first outputs for seed 1234567; pins cross-platform
         # reproducibility of every seeded corpus
@@ -138,8 +153,62 @@ class TestRandom:
         assert banner() == banner_pattern().template
 
 
+def reference_2k2_free(n, p, seed):
+    """The repair loop as first written: the same draws, but ``find_2k2``
+    restarted on the whole graph after every added edge."""
+    g = random_gnp(n, p, seed)
+    rng = SplitMix64(seed ^ 0xD2B74407B1CE6E93)
+    w = find_2k2(g)
+    while w is not None:
+        a1, a2, b1, b2 = w.vertices
+        u, v = ((a1, b1), (a1, b2), (a2, b1), (a2, b2))[rng.below(4)]
+        adj = list(g.adj)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        g = Graph(n, tuple(adj))
+        w = find_2k2(g)
+    return g
+
+
 class TestResumedRepair:
     DENSITIES = (0.08, 0.15, 0.25, 0.4, 0.6, 0.8)
+
+    def test_matches_restarting_reference(self):
+        for n in range(4, 31):
+            for p in self.DENSITIES:
+                for seed in (0, 7, 2_000_003):
+                    assert random_2k2_free(n, p, seed) == reference_2k2_free(n, p, seed), (n, p, seed)
+
+    def test_partner_searches_stay_cut(self, monkeypatch):
+        # every edge the loop tests for a 2K2 partner after a repair, dirty
+        # edges and resumed scans alike; the full checks before and after the
+        # loop are not counted
+        import domminor.generators as gen
+        import domminor.patterns as pat
+
+        nxt, partner = gen._next_witness, pat._partner
+        searches = 0
+        inside = False
+
+        def counting_partner(*args):
+            nonlocal searches
+            searches += inside
+            return partner(*args)
+
+        def tracked(*args):
+            nonlocal inside
+            inside = True
+            try:
+                return nxt(*args)
+            finally:
+                inside = False
+
+        monkeypatch.setattr(pat, "_partner", counting_partner)
+        monkeypatch.setattr(gen, "_partner", counting_partner)
+        monkeypatch.setattr(gen, "_next_witness", tracked)
+        for i in range(1560):
+            random_2k2_free(5 + i % 26, self.DENSITIES[i % 6], i)
+        assert searches <= 330_000  # 808,005 when each scan restarted at the least of three edges
 
     def test_corpus_pinned(self):
         # criterion 1's first 20 parameter cycles and a small (n, p, seed)
@@ -161,18 +230,18 @@ class TestResumedRepair:
     def test_resumed_witness_matches_full_scan(self, monkeypatch):
         import domminor.generators as gen
 
-        resumed = gen._scan_2k2
+        resumed = gen._next_witness
         steps = 0
 
-        def checked(n, adj, u0, v0):
+        def checked(n, adj, dirty, frontier):
             nonlocal steps
-            found = resumed(n, adj, u0, v0)
+            found, dirty = resumed(n, adj, dirty, frontier)
             full = find_2k2(Graph(n, tuple(adj)))
-            assert found == (full and full.vertices), (n, adj, (u0, v0))
+            assert found == (full and full.vertices), (n, adj, frontier)
             steps += 1
-            return found
+            return found, dirty
 
-        monkeypatch.setattr(gen, "_scan_2k2", checked)
+        monkeypatch.setattr(gen, "_next_witness", checked)
         for i in range(300):
             random_2k2_free(5 + i % 26, self.DENSITIES[i % 6], 3_000_000 + i)
         assert steps == 16750
