@@ -190,8 +190,14 @@ def _cmd_gen(args) -> int:
         except ValueError as exc:
             raise CliError(str(exc))
     else:
+        params = []
+        for x in args.params:
+            try:
+                params.append(int(x))
+            except ValueError:
+                raise CliError(f"family {name!r} takes integer parameters, got {x!r}")
         try:
-            g = generators.family(name, [int(x) for x in args.params])
+            g = generators.family(name, params)
         except ValueError as exc:
             raise CliError(str(exc))
     s = emit_graph6(g)

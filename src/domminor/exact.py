@@ -152,6 +152,16 @@ def _greedy_class_count(adj: tuple[int, ...], p: int, enough: int) -> int:
     return classes
 
 
+def _edge_count(adj: tuple[int, ...], m: int) -> int:
+    """The number of edges of the subgraph induced by the vertex set ``m``."""
+    edges = 0
+    while m:
+        low = m & -m
+        m ^= low
+        edges += (adj[low.bit_length() - 1] & m).bit_count()
+    return edges
+
+
 @graph_memo
 def clique_number(g: Graph) -> tuple[int, int]:
     """Exact maximum clique as (omega, vertex mask), deterministic witness.
@@ -436,9 +446,18 @@ def has_dominating_kt(
     number at most ω, at most the class count of a greedy colouring; every
     other set has two or more vertices.  So ``rest`` sets still to be chosen
     from ``cand`` after S need ``rest + max(0, rest - classes(cand))``
-    vertices, and S has at most ``avail`` minus that many.  Like the memo,
-    the bound skips only subtrees that fail, so the returned model does not
-    change.
+    vertices, and S has at most ``avail`` minus that many.
+
+    Each walked S is tested before the search recurses into
+    ``nxt = cand & ~s & nb`` for the ``rest`` sets still to choose.  S is
+    skipped when ``nxt`` has fewer than ``rest`` vertices, when ``dead[nxt]``
+    already fails ``rest``, or by the K_r edge bound: the ``rest`` sets are
+    disjoint and pairwise adjacent, so each pair needs an edge of its own and
+    ``G[nxt]`` must have at least C(rest, 2) edges.  A mask that fails the
+    edge bound is recorded as ``dead[nxt] = rest``.  Like the memo, both
+    bounds skip only subtrees that fail, so the returned model does not
+    change.  The deadline ticks once per walked set, since most sets never
+    reach a recursive call.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -454,25 +473,28 @@ def has_dominating_kt(
     adj = g.adj
 
     def rec(cand: int, chosen: list[int], remaining: int) -> MinorModel | None:
-        deadline.tick()
+        # cand has at least ``remaining`` vertices and is not known to fail
         if remaining == 0:
             return tuple(chosen)
-        avail = cand.bit_count()
-        if avail < remaining or 0 < dead[cand] <= remaining:
-            return None
         rest = remaining - 1
-        limit = avail - rest
+        limit = cand.bit_count() - rest
         if rest >= 2:
             # the rest sets include at most classes(cand) singletons
             limit -= rest - _greedy_class_count(adj, cand, rest)
+        pairs = rest * (rest - 1) // 2
         for s, nb in _connected_sets_with_neighbors(g, cand, limit):
+            deadline.tick()
             nxt = cand & ~s & nb
-            if nxt.bit_count() >= rest:
-                chosen.append(s)
-                found = rec(nxt, chosen, rest)
-                if found is not None:
-                    return found
-                chosen.pop()
+            if nxt.bit_count() < rest or 0 < dead[nxt] <= rest:
+                continue
+            if pairs and _edge_count(adj, nxt) < pairs:
+                dead[nxt] = rest
+                continue
+            chosen.append(s)
+            found = rec(nxt, chosen, rest)
+            if found is not None:
+                return found
+            chosen.pop()
         dead[cand] = remaining
         return None
 
@@ -493,7 +515,12 @@ def has_kt_minor(
     The walk is cut by the singleton-clique bound of
     :func:`has_dominating_kt`: single-vertex branch sets are pairwise
     adjacent, so at most ``classes(avail)`` of the ``remaining - 1`` sets
-    after S are singletons and the others need two vertices each.
+    after S are singletons and the others need two vertices each.  Each
+    walked S is also tested by the K_r edge bound of
+    :func:`has_dominating_kt` on the next call's ``avail`` (``avail & ~s``
+    minus every vertex up to the least of S): the ``rest`` sets drawn from it
+    need C(rest, 2) edges between them.  The deadline ticks once per walked
+    set.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -508,28 +535,31 @@ def has_kt_minor(
     # Ordinary-model validity is order-insensitive, so enumerate families with
     # strictly increasing set minima (each new set lives above the previous
     # set's least vertex).
-    def rec(used: int, floor: int, nbr_masks: list[int], remaining: int) -> bool:
-        deadline.tick()
+    def rec(avail: int, nbr_masks: list[int], remaining: int) -> bool:
         if remaining == 0:
             return True
-        avail = g.full_mask & ~used & ~((1 << floor) - 1)
         rest = remaining - 1
         limit = avail.bit_count() - rest
         if rest >= 2:
             limit -= rest - _greedy_class_count(adj, avail, rest)
         if limit < 1:
             return False
+        pairs = rest * (rest - 1) // 2
         for s, nb in _connected_sets_with_neighbors(g, avail, limit):
+            deadline.tick()
             if any(s & nm == 0 for nm in nbr_masks):
                 continue
+            nxt = avail & ~s & ~((s & -s) - 1)  # the next set lies above min(s)
+            if pairs and _edge_count(adj, nxt) < pairs:
+                continue
             nbr_masks.append(nb)
-            if rec(used | s, (s & -s).bit_length(), nbr_masks, rest):
+            if rec(nxt, nbr_masks, rest):
                 return True
             nbr_masks.pop()
         return False
 
     try:
-        return rec(0, 0, [], t)
+        return rec(g.full_mask, [], t)
     finally:
         del rec  # the closure refers to itself; free it without the cyclic collector
 

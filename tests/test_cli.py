@@ -170,6 +170,17 @@ class TestGen:
         assert code == 1
         assert obj["schema"] == "domminor/error/v1" and "integer n" in obj["error"]
 
+    def test_non_integer_family_parameter_exit_1(self, capsys):
+        code, obj = run_json(capsys, "gen", "cycle", "x")
+        assert code == 1
+        assert obj == {"schema": "domminor/error/v1", "error": "family 'cycle' takes integer parameters, got 'x'"}
+
+    def test_non_integer_part_size_exit_1(self, capsys):
+        code, obj = run_json(capsys, "gen", "complete-multipartite", "2", "x")
+        assert code == 1
+        assert obj["schema"] == "domminor/error/v1"
+        assert "'complete-multipartite'" in obj["error"] and "'x'" in obj["error"]
+
 
 class TestConvert:
     def test_to_edges_and_back(self, capsys, tmp_path):

@@ -42,6 +42,7 @@ from domminor.graphs import (
     complement,
     emit_graph6,
     from_edge_list,
+    induced_subgraph,
     is_connected_set,
     neighbors_of_set,
     parse_graph6,
@@ -609,6 +610,52 @@ class TestSingletonCliqueBound:
         monkeypatch.setattr(exact_mod, "_connected_sets_with_neighbors", counting)
         assert dominating_hadwiger_number(random_2k2_free(14, 0.3, 1))[0] == 7
         assert yields <= 60_000  # 287,099 without the bound
+
+
+class TestEdgeBound:
+    # the r branch sets of a K_r model are disjoint and pairwise adjacent, so
+    # the mask they are drawn from induces at least C(r, 2) edges
+
+    def test_edge_count_matches_induced_subgraph(self):
+        rng = random.Random(12)
+        graphs = [parse_graph6(line) for line in (DATA / "graphs6.g6").read_text().split()]
+        graphs += [random_gnp(n, p, seed) for n in (9, 13, 16) for p in (0.2, 0.5, 0.8) for seed in (1, 2)]
+        for g in graphs:
+            for m in (0, g.full_mask, *(rng.getrandbits(g.n) for _ in range(8))):
+                assert exact_mod._edge_count(g.adj, m) == induced_subgraph(g, m)[0].edge_count()
+
+    @staticmethod
+    def count_walk(monkeypatch) -> list[int]:
+        walk = exact_mod._connected_sets_with_neighbors
+        yields = [0]
+
+        def counting(*args):
+            for pair in walk(*args):
+                yields[0] += 1
+                yield pair
+
+        monkeypatch.setattr(exact_mod, "_connected_sets_with_neighbors", counting)
+        return yields
+
+    def test_dominating_walk_stays_cut(self, monkeypatch):
+        yields = self.count_walk(monkeypatch)
+        assert dominating_hadwiger_number(random_gnp(16, 0.3, 5))[0] == 5
+        assert yields[0] <= 110_000  # 313,684 without the bound
+
+    def test_ordinary_walk_stays_cut(self, monkeypatch):
+        yields = self.count_walk(monkeypatch)
+        assert hadwiger_number(one_subdivision_complete(5)) == 5
+        assert yields[0] <= 200_000  # 627,081 without the bound
+
+    def test_dominating_deadline_fires(self):
+        # the pruned search makes only ~100 recursive calls here, fewer than
+        # the ticks between clock reads, so the deadline must tick per set
+        with pytest.raises(SearchDeadlineExceeded):
+            has_dominating_kt(random_gnp(16, 0.25, 3), 6, deadline_s=1e-4)
+
+    def test_ordinary_deadline_fires(self):
+        with pytest.raises(SearchDeadlineExceeded):
+            has_kt_minor(one_subdivision_complete(5), 6, deadline_s=1e-4)
 
 
 class TestNoReferenceCycles:
