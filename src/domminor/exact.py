@@ -547,15 +547,17 @@ def has_kt_minor(
         pairs = rest * (rest - 1) // 2
         for s, nb in _connected_sets_with_neighbors(g, avail, limit):
             deadline.tick()
-            if any(s & nm == 0 for nm in nbr_masks):
-                continue
-            nxt = avail & ~s & ~((s & -s) - 1)  # the next set lies above min(s)
-            if pairs and _edge_count(adj, nxt) < pairs:
-                continue
-            nbr_masks.append(nb)
-            if rec(nxt, nbr_masks, rest):
-                return True
-            nbr_masks.pop()
+            for nm in nbr_masks:
+                if s & nm == 0:
+                    break
+            else:
+                nxt = avail & ~s & ~((s & -s) - 1)  # the next set lies above min(s)
+                if pairs and _edge_count(adj, nxt) < pairs:
+                    continue
+                nbr_masks.append(nb)
+                if rec(nxt, nbr_masks, rest):
+                    return True
+                nbr_masks.pop()
         return False
 
     try:

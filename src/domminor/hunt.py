@@ -17,8 +17,14 @@ same loop runs in process.
 
 A byte-offset checkpoint makes interrupted runs resumable with an identical
 final record multiset; worker counts and chunk sizes never change record
-content.  Any counterexample verdict is re-checked once more,
-single-threaded and with the time budget removed, before it is reported.
+content.  The checkpoint is a small JSON object, overwritten in place by one
+write at offset 0, padded with spaces to the file's size.  It stays far
+below one 4 KiB page, which Linux writes whole or not at all even when the
+process is killed, so an interrupt at any instant leaves the last complete
+checkpoint.  Neither it nor the records file is fsynced: durability against
+power loss is not promised.  Any counterexample verdict is re-checked once
+more, single-threaded and with the time budget removed, before it is
+reported.
 
 The checkpoint also stores a fingerprint of its run: the checks, filter,
 search cap and time budget, and the sha256 of the input lines it consumed.
@@ -398,12 +404,24 @@ class _Checkpoint:
             yield no, text
 
     def write(self, next_line: int, output_bytes: int, input_sha256: str) -> None:
+        """Overwrite the checkpoint in place: one write at offset 0 of the JSON,
+        padded with spaces to the file's size, so a shorter payload blanks a
+        longer one (``json.load`` skips the spaces).  No temporary file,
+        rename, truncation or fsync: ext4 flushes a file replaced by rename or
+        truncated and rewritten (~40 ms each).  The padded payload stays far
+        below one 4 KiB page, which Linux writes whole or not at all even if
+        the process is killed, so an interrupt leaves the previous checkpoint
+        or this one.  Durability against power loss is not promised."""
         if self.path is None:
             return
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self._fields(next_line, output_bytes, input_sha256), fh)
-        os.replace(tmp, self.path)
+        data = json.dumps(self._fields(next_line, output_bytes, input_sha256)).encode()
+        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            data = data.ljust(os.fstat(fd).st_size)
+            if os.write(fd, data) != len(data):
+                raise HuntError(f"short write to checkpoint {self.path}")
+        finally:
+            os.close(fd)
 
 
 class _InProcess:

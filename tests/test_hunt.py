@@ -1,7 +1,11 @@
+import contextlib
 import gc
 import hashlib
 import io
 import json
+import os
+import signal
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -626,3 +630,91 @@ class TestCheckpointRefusals:
         cfg = HuntConfig(input_path=str(full), output_path=str(out), checkpoint_path=str(ckpt))
         assert run_hunt(cfg).total == 40
         assert read_records(out)[17]["n"] == 8
+
+
+class TestCheckpointInPlace:
+    def test_rewritten_in_place(self, tmp_path, monkeypatch):
+        # every chunk's write overwrites the first write's file: no
+        # temporary file, no rename to a new inode
+        monkeypatch.setattr(hm, "_CHUNK_LINES", 16)
+        p = tmp_path / "c.g6"
+        p.write_text("\n".join(emit_graph6(cycle(n)) for n in range(3, 103)) + "\n")
+        out, ckpt = tmp_path / "r.jsonl", tmp_path / "ck.json"
+        inodes = []
+
+        def spied(self, *args, _fn=hm._Checkpoint.write):
+            _fn(self, *args)
+            inodes.append(os.stat(self.path).st_ino)
+
+        monkeypatch.setattr(hm._Checkpoint, "write", spied)
+        run_hunt(HuntConfig(input_path=str(p), output_path=str(out), checkpoint_path=str(ckpt)))
+        assert len(inodes) == 7
+        assert set(inodes) == {inodes[0]}
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["c.g6", "ck.json", "r.jsonl"]
+        assert json.loads(ckpt.read_text())["next_line"] == 101
+
+    def test_short_payload_after_long_one_parses(self, tmp_path):
+        ckpt = tmp_path / "ck.json"
+        cp = hm._Checkpoint(HuntConfig(output_path=str(tmp_path / "r.jsonl"), checkpoint_path=str(ckpt)))
+        cp.write(10**15, 10**18, "f" * 64)
+        long_size = ckpt.stat().st_size
+        cp.write(2, 7, "0" * 64)
+        assert ckpt.stat().st_size == long_size  # padded, not truncated
+        assert json.loads(ckpt.read_text()) == cp._fields(2, 7, "0" * 64)
+        with open(ckpt, encoding="utf-8") as fh:
+            assert json.load(fh)["next_line"] == 2
+
+    def test_largest_payload_fits_one_page(self, tmp_path):
+        # a write of at most one page at offset 0 is applied whole or not
+        # at all, even when the process is killed
+        ckpt = tmp_path / "ck.json"
+        cfg = HuntConfig(output_path=str(tmp_path / "r.jsonl"), checkpoint_path=str(ckpt), checks=ALL_CHECKS,
+                         graph_filter="2k2-free", exact_cap=10**6, time_budget_s=0.1 + 0.2)
+        hm._Checkpoint(cfg).write(10**18, 10**18, "f" * 64)
+        assert ckpt.stat().st_size < 4096
+
+
+class TestKilledHunt:
+    def test_killed_cli_hunt_resumes_to_the_same_records(self, tmp_path):
+        # a real 2-worker CLI hunt, killed with its workers by SIGKILL once
+        # it has checkpointed a chunk, then resumed
+        corpus = tmp_path / "atlas3.g6"
+        corpus.write_text("".join((DATA / f"graphs{n}.g6").read_text() for n in range(9)) * 3)
+        src = str(Path(hm.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def argv(out, ckpt):
+            return [sys.executable, "-m", "domminor.cli", "hunt", "--input", str(corpus), "--workers", "2",
+                    "--checks", *ALL_CHECKS, "--output", str(out), "--checkpoint", str(ckpt)]
+
+        def records(out):
+            recs = read_records(out)
+            for rec in recs:
+                del rec["elapsed_ms"]
+            return sorted(json.dumps(rec, sort_keys=True) for rec in recs)
+
+        out, ckpt = tmp_path / "r.jsonl", tmp_path / "ck.json"
+        proc = subprocess.Popen(argv(out, ckpt), env=env, stdout=subprocess.DEVNULL, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            next_line = 0
+            while next_line <= 1 and proc.poll() is None and time.monotonic() < deadline:
+                try:
+                    next_line = json.loads(ckpt.read_text())["next_line"]
+                except (OSError, ValueError):
+                    pass
+                time.sleep(0.002)
+            assert next_line > 1
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode == -signal.SIGKILL  # killed mid-run, not finished
+        assert json.loads(ckpt.read_text())["next_line"] <= 3 * 13599
+
+        subprocess.run(argv(out, ckpt), env=env, stdout=subprocess.DEVNULL, check=True, timeout=120)
+        full_out, full_ckpt = tmp_path / "full.jsonl", tmp_path / "full.json"
+        subprocess.run(argv(full_out, full_ckpt), env=env, stdout=subprocess.DEVNULL, check=True, timeout=120)
+        expected = records(full_out)
+        assert len(expected) == 3 * 13599
+        assert records(out) == expected
