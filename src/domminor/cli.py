@@ -112,7 +112,7 @@ def _cmd_extract(args) -> int:
             model = extraction.extract_dominating(g, trace=trace)
             report = exact.verify_dominating_model(g, model)
         else:
-            model = extraction.extract_ordinary_minor(g)
+            model = extraction.extract_ordinary_minor(g, trace=trace)
             report = exact.verify_ordinary_model(g, model)
     except extraction.Not2K2FreeError as exc:
         raise CliError(str(exc), {"witness": list(exc.witness)})

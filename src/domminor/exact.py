@@ -92,20 +92,17 @@ def verify_dominating_model(g: Graph, model: MinorModel) -> ModelReport:
     bad = _structural_report(g, model)
     if bad is not None:
         return bad
-    adj = g.adj
+    # the vertices of T_j with no neighbor in T_i are T_j & ~N(T_i)
+    nbrs = [neighbors_of_set(g, t) for t in model[:-1]]
     for j in range(1, len(model)):
         for i in range(j):
-            ti = model[i]
-            rest = model[j]
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                if adj[v] & ti == 0:
-                    return ModelReport(
-                        False, "domination", i + 1, j + 1, v,
-                        f"vertex {v} in T_{j + 1} has no neighbor in T_{i + 1}",
-                    )
+            bad = model[j] & ~nbrs[i]
+            if bad:
+                v = (bad & -bad).bit_length() - 1
+                return ModelReport(
+                    False, "domination", i + 1, j + 1, v,
+                    f"vertex {v} in T_{j + 1} has no neighbor in T_{i + 1}",
+                )
     return ModelReport(True)
 
 

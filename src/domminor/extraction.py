@@ -5,7 +5,8 @@ dominating minor model with exactly chi(G) branch sets.  The algorithm is a
 recursive case analysis; every reduction branch (one helper, ``_reduce``)
 removes a structured vertex set U with chi(G[U]) <= c, prepends c explicit
 branch sets that dominate everything kept, recurses on G - U, and stitches
-the results with :func:`lift_model`.
+the results with :func:`lift_model`.  "Dominates everything kept" is one
+mask: the kept vertices X with no neighbor in a set T are X & ~N(T).
 
 Branches (trace names in parentheses):
 
@@ -26,7 +27,10 @@ Branches (trace names in parentheses):
   a (2m+2)-set prefix ("final_construction").
 
 An ordinary (non-dominating) clique minor of the same order is produced by
-:func:`extract_ordinary_minor` via repeated induced-P4 removal.
+:func:`extract_ordinary_minor` on the same recursion with a one-step case
+analysis: remove an induced P4 with the pair split (v1v2, v3v4) in front
+("p4_removal"), until a P4-free graph's maximum clique ends it ("clique").
+Both extractors write the same kind of trace.
 
 Each recursion step is sound by construction and additionally re-verified:
 the lift re-checks domination of every kept branch set by every prepended
@@ -53,6 +57,7 @@ from .graphs import (
     bits,
     induced_subgraph,
     mask_of,
+    neighbors_of_set,
     relabel_mask,
     set_to_list,
 )
@@ -174,11 +179,15 @@ class C5Partition:
 
 
 class _Ctx:
-    __slots__ = ("config", "trace")
+    """One extraction run: its settings, its trace and its case analysis
+    (``branch(g, chi, ctx, depth)``, the dominating one unless given)."""
 
-    def __init__(self, config: ExtractionConfig | None, trace: Trace | None):
+    __slots__ = ("config", "trace", "branch")
+
+    def __init__(self, config: ExtractionConfig | None, trace: Trace | None, branch=None):
         self.config = config or ExtractionConfig()
         self.trace = trace
+        self.branch = branch or _branch
 
     def record(self, depth: int, branch: str, **extra) -> None:
         if self.trace is not None:
@@ -204,20 +213,15 @@ def lift_model(g: Graph, prefix: MinorModel, residual: MinorModel, residual_quot
     pmask = 0
     for p in prefix:
         pmask |= p
-    adj = g.adj
+    nbrs = [neighbors_of_set(g, p) for p in prefix]
     for t in kept:
         if t & pmask:
             raise LiftError("residual set overlaps a prefix set")
-        for p in prefix:
-            rest = t
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                if adj[v] & p == 0:
-                    raise LiftError(
-                        f"kept residual vertex {v} has no neighbor in prefix set {set_to_list(p)}"
-                    )
+        for p, n in zip(prefix, nbrs):
+            bad = t & ~n
+            if bad:
+                v = (bad & -bad).bit_length() - 1
+                raise LiftError(f"kept residual vertex {v} has no neighbor in prefix set {set_to_list(p)}")
     return tuple(prefix) + kept
 
 
@@ -240,17 +244,34 @@ def _reduce(
     _, residual = _extract(sub, ctx, depth + 1)
     residual = tuple(relabel_mask(t, verts) for t in residual)
     model = lift_model(g, prefix, residual, max(0, chi - len(prefix)))
-    ctx.record(depth, branch, **extra, prefix=[set_to_list(t) for t in prefix], removed=set_to_list(removed))
+    if ctx.trace is not None:
+        ctx.trace.record(depth, branch, **extra, prefix=[set_to_list(t) for t in prefix], removed=set_to_list(removed))
     return model
+
+
+def _pair_kept(g: Graph, d1: int, d2: int) -> int:
+    """What a (D1, D2) prefix keeps: the vertices outside both with a neighbor in each."""
+    return neighbors_of_set(g, d1) & neighbors_of_set(g, d2) & ~(d1 | d2)
 
 
 def _attached(g: Graph, cmask: int) -> tuple[int, int]:
     """Split the vertices outside ``cmask`` into (anticomplete to it, attached to it)."""
     outside = g.full_mask & ~cmask
-    iso = outside
-    for v in bits(cmask):
-        iso &= ~g.adj[v]
-    return iso, outside & ~iso
+    near = neighbors_of_set(g, cmask)
+    return outside & ~near, outside & near
+
+
+def _require_dominated(g: Graph, keep: int, prefix: MinorModel, invariant: str, depth: int) -> None:
+    """Every vertex of ``keep`` has a neighbor in each prefix set; the error
+    names the least vertex that has not and the first set it misses."""
+    nbrs = [neighbors_of_set(g, t) for t in prefix]
+    bad = 0
+    for n in nbrs:
+        bad |= keep & ~n
+    if bad:
+        v = (bad & -bad).bit_length() - 1
+        t = next(t for t, n in zip(prefix, nbrs) if not n >> v & 1)
+        raise InternalContradictionError(invariant, {"vertex": v, "set": set_to_list(t)}, depth)
 
 
 def _finish(g: Graph, chi: int, model: MinorModel, ctx: _Ctx, depth: int) -> MinorModel:
@@ -292,8 +313,7 @@ def _apex_or_complete(
     """
     b1, b2, b3, b, bp = banner
     vb = mask_of(banner)
-    full = g.full_mask
-    cands = g.adj[b] & g.adj[b1] & ~g.adj[b2] & ~g.adj[b3] & ~vb & full
+    cands = g.adj[b] & g.adj[b1] & ~g.adj[b2] & ~g.adj[b3] & ~vb & g.full_mask
     if cands:
         _require(
             cands & g.adj[bp] == 0,
@@ -304,11 +324,8 @@ def _apex_or_complete(
         return (cands & -cands).bit_length() - 1
     d1 = mask_of((b1, b, bp))
     d2 = mask_of((b2, b3))
-    a1 = full & ~vb & ~g.adj[b1] & ~g.adj[b] & ~g.adj[bp]
-    a2 = full & ~vb & ~a1 & ~g.adj[b2] & ~g.adj[b3]
-    return Completed(
-        _reduce(g, (d1, d2), vb | a1 | a2, chi, ctx, depth, "banner_completed", banner=list(banner))
-    )
+    removed = g.full_mask & ~_pair_kept(g, d1, d2)
+    return Completed(_reduce(g, (d1, d2), removed, chi, ctx, depth, "banner_completed", banner=list(banner)))
 
 
 def _banner_step(
@@ -369,7 +386,7 @@ def _c4_reduction(
         (mask_of((v1, v2)), mask_of((v3, v4))),
         (mask_of((v1, v4)), mask_of((v2, v3))),
     ):
-        if all(g.adj[v] & d1 and g.adj[v] & d2 for v in bits(h)):
+        if _pair_kept(g, d1, d2) == h:
             return _reduce(g, (d1, d2), cmask | iso, chi, ctx, depth, "c4_reduction", c4=list(c4))
     raise InternalContradictionError(
         "one opposite-pair split of the 4-cycle must dominate everything kept "
@@ -411,7 +428,8 @@ def _clique_model(chi: int, omega: int, cmask: int, ctx: _Ctx, depth: int, branc
         {"omega": omega, "chi": chi},
         depth,
     )
-    ctx.record(depth, branch, clique=set_to_list(cmask))
+    if ctx.trace is not None:
+        ctx.trace.record(depth, branch, clique=set_to_list(cmask))
     return tuple(1 << v for v in bits(cmask))
 
 
@@ -527,11 +545,7 @@ def _low_degree_c5(
     pool = h & ~smask
     sieved = 0
     for dk in d:
-        ak = 0
-        for v in bits(pool & ~sieved):
-            if g.adj[v] & dk == 0:
-                ak |= 1 << v
-        sieved |= ak
+        sieved |= pool & ~neighbors_of_set(g, dk)
     return _reduce(
         g, d, iso | cmask | smask | sieved, chi, ctx, depth, "low_degree_k4", c5=list(c), x=x, quad=list(quad)
     )
@@ -718,7 +732,6 @@ def _build_partition(
             mask_of((c[(i + 1) % 5], w1v)),
         )
         removed = cmask | iso | (1 << v) | w1 | w2
-        keep = full & ~removed
         report = verify_dominating_model(g, prefix)
         _require(
             report.valid,
@@ -727,15 +740,11 @@ def _build_partition(
             {"report": report.message},
             depth,
         )
-        for x in bits(keep):
-            for t in prefix:
-                _require(
-                    g.adj[x] & t != 0,
-                    "every kept vertex must have a neighbor in each prefix set "
-                    "of the anticomplete-edge branch",
-                    {"vertex": x, "set": set_to_list(t)},
-                    depth,
-                )
+        _require_dominated(
+            g, full & ~removed, prefix,
+            "every kept vertex must have a neighbor in each prefix set of the anticomplete-edge branch",
+            depth,
+        )
         return Completed(
             _reduce(
                 g, prefix, removed, chi, ctx, depth, "independent_side_edge", c5=list(c), u=u, v=v, klass=i
@@ -894,14 +903,7 @@ def _final_construction(
         {},
         depth,
     )
-    for v in bits(keep):
-        for t in d:
-            _require(
-                g.adj[v] & t != 0,
-                "every kept vertex must have a neighbor in each prefix set",
-                {"vertex": v, "set": set_to_list(t)},
-                depth,
-            )
+    _require_dominated(g, keep, d, "every kept vertex must have a neighbor in each prefix set", depth)
     return _reduce(
         g, tuple(d), rmask | part.independent, chi, ctx, depth, "final_construction",
         m=m, parity="even" if r == 0 else "odd", c5=list(c),
@@ -954,16 +956,15 @@ def _scan_c5s(
 
 
 def _extract(g: Graph, ctx: _Ctx, depth: int) -> tuple[int, MinorModel]:
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         ctx.record(depth, "empty")
         return 0, ()
     chi, _ = chromatic_number(g)
-    return chi, _finish(g, chi, _branch(g, chi, ctx, depth), ctx, depth)
+    return chi, _finish(g, chi, ctx.branch(g, chi, ctx, depth), ctx, depth)
 
 
 def _branch(g: Graph, chi: int, ctx: _Ctx, depth: int) -> MinorModel:
-    """The case analysis on a non-empty graph; returns at least chi sets."""
+    """The dominating case analysis on a non-empty graph; returns at least chi sets."""
     omega, cmask = clique_number(g)
     if omega >= chi:
         # the two labels differ only in the trace, so untraced runs skip the searches
@@ -1002,6 +1003,23 @@ def _branch(g: Graph, chi: int, ctx: _Ctx, depth: int) -> MinorModel:
     return _final_construction(g, out, chi, ctx, depth)
 
 
+def _extract_verified(g: Graph, ctx: _Ctx, verify) -> MinorModel:
+    """The shell of both extractors: the 2K2-free precondition, the recursion,
+    then the caller's verifier on the whole model."""
+    w = find_2k2(g)
+    if w is not None:
+        raise Not2K2FreeError(w.vertices)
+    chi, model = _extract(g, ctx, 0)
+    report = verify(g, model)
+    if len(model) != chi or not report.valid:
+        raise InternalContradictionError(
+            "final model failed verification",
+            {"chi": chi, "sets": len(model), "report": report.message},
+            0,
+        )
+    return model
+
+
 def extract_dominating(
     g: Graph,
     config: ExtractionConfig | None = None,
@@ -1014,66 +1032,36 @@ def extract_dominating(
     the analysis relies on fails, rather than ever returning an unverified
     model.
     """
-    w = find_2k2(g)
-    if w is not None:
-        raise Not2K2FreeError(w.vertices)
-    ctx = _Ctx(config, trace)
-    chi, model = _extract(g, ctx, 0)
-    report = verify_dominating_model(g, model)
-    if len(model) != chi or not report.valid:
-        raise InternalContradictionError(
-            "final model failed verification",
-            {"chi": chi, "sets": len(model), "report": report.message},
-            0,
-        )
-    return model
+    return _extract_verified(g, _Ctx(config, trace), verify_dominating_model)
 
 
 # ---------------------------------------------------------------------------
 # ordinary (non-dominating) extraction via induced-P4 removal
 # ---------------------------------------------------------------------------
 
-def _extract_ordinary(g: Graph, depth: int) -> tuple[int, MinorModel]:
-    if g.n == 0:
-        return 0, ()
-    chi, _ = chromatic_number(g)
+def _p4_branch(g: Graph, chi: int, ctx: _Ctx, depth: int) -> MinorModel:
+    """The ordinary case analysis: an induced P4 v1v2v3v4 goes with everything
+    anticomplete to {v1, v2} or to {v3, v4} (a 2-chromatic chunk) and the two
+    pairs go in front; P4-free graphs are perfect, so a maximum clique ends it."""
     p4 = find_induced(g, path_pattern(4))
     if p4 is None:
-        # P4-free graphs are perfect: maximum clique as singletons
         omega, cmask = clique_number(g)
-        return chi, _clique_model(chi, omega, cmask, _Ctx(None, None), depth, "clique")
+        return _clique_model(chi, omega, cmask, ctx, depth, "clique")
     v1, v2, v3, v4 = p4.vertices
-    full = g.full_mask
-    pmask = mask_of(p4.vertices)
-    a = full & ~pmask & ~g.adj[v1] & ~g.adj[v2]
-    b = full & ~pmask & ~a & ~g.adj[v3] & ~g.adj[v4]
-    keep = full & ~(pmask | a | b)
-    sub, verts = induced_subgraph(g, keep)
-    _, residual = _extract_ordinary(sub, depth + 1)
-    residual = tuple(relabel_mask(t, verts) for t in residual)
-    model = lift_model(g, (mask_of((v1, v2)), mask_of((v3, v4))), residual, max(0, chi - 2))
-    if len(model) > chi:
-        model = model[len(model) - chi:]
-    return chi, model
+    d1, d2 = mask_of((v1, v2)), mask_of((v3, v4))
+    removed = g.full_mask & ~_pair_kept(g, d1, d2)
+    return _reduce(g, (d1, d2), removed, chi, ctx, depth, "p4_removal", p4=list(p4.vertices))
 
 
-def extract_ordinary_minor(g: Graph) -> MinorModel:
+def extract_ordinary_minor(g: Graph, trace: Trace | None = None) -> MinorModel:
     """An ordinary clique-minor model with chi(g) sets, for any 2K2-free graph.
 
-    Repeatedly removes an induced P4 together with everything anticomplete to
-    one of its end pairs (a 2-chromatic chunk), prepending the two pairs; the
-    P4-free base case is a maximum clique.  The result passes the ordinary
-    verifier but generally not the dominating one.
+    Runs the recursion of :func:`extract_dominating` with the induced-P4 step
+    as its case analysis: each level removes an induced P4 together with
+    everything anticomplete to one of its end pairs, prepending the two
+    pairs; the P4-free base case is a maximum clique.  ``trace`` gets one
+    ``p4_removal`` event per level and a final ``clique`` or ``empty`` one.
+    The result passes the ordinary verifier but generally not the dominating
+    one.
     """
-    w = find_2k2(g)
-    if w is not None:
-        raise Not2K2FreeError(w.vertices)
-    chi, model = _extract_ordinary(g, 0)
-    report = verify_ordinary_model(g, model)
-    if len(model) != chi or not report.valid:
-        raise InternalContradictionError(
-            "ordinary model failed verification",
-            {"chi": chi, "sets": len(model), "report": report.message},
-            0,
-        )
-    return model
+    return _extract_verified(g, _Ctx(None, trace, _p4_branch), verify_ordinary_model)

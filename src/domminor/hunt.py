@@ -21,10 +21,11 @@ content.  The checkpoint is a small JSON object, overwritten in place by one
 write at offset 0, padded with spaces to the file's size.  It stays far
 below one 4 KiB page, which Linux writes whole or not at all even when the
 process is killed, so an interrupt at any instant leaves the last complete
-checkpoint.  Neither it nor the records file is fsynced: durability against
-power loss is not promised.  Any counterexample verdict is re-checked once
-more, single-threaded and with the time budget removed, before it is
-reported.
+checkpoint (before the first write lands, an empty file, which a resume
+treats as no checkpoint).  Neither it nor the records file is fsynced:
+durability against power loss is not promised.  Any counterexample verdict
+is re-checked once more, single-threaded and with the time budget removed,
+before it is reported.
 
 The checkpoint also stores a fingerprint of its run: the checks, filter,
 search cap and time budget, and the sha256 of the input lines it consumed.
@@ -113,7 +114,7 @@ class HuntConfig:
     def validate(self) -> None:
         if self.workers < 1:
             raise HuntError("worker count must be >= 1")
-        if self.time_budget_s is not None and self.time_budget_s <= 0:
+        if self.time_budget_s is not None and not self.time_budget_s > 0:  # also refuses NaN
             raise HuntError("time budget must be positive")
         bad = [c for c in self.checks if c not in KNOWN_CHECKS]
         if bad:
@@ -356,12 +357,14 @@ class _Checkpoint:
     def read(self, lines) -> tuple[int, int]:
         """(next_line, output_bytes) to resume from; (0, 0) without a checkpoint.
 
+        An empty checkpoint counts as none: a run killed between creating it
+        and its first write leaves one, and no record was checkpointed.
         Consumes and hashes the lines of ``lines`` before ``next_line``.
         Refuses a checkpoint whose stored fingerprint fields differ from this
         run's (older checkpoints lack some and are checked on the rest), and
         an output file shorter than the bytes the checkpoint counted.
         """
-        if self.path is None or not os.path.exists(self.path):
+        if self.path is None or not os.path.exists(self.path) or os.path.getsize(self.path) == 0:
             return 0, 0
         try:
             with open(self.path, encoding="utf-8") as fh:

@@ -75,6 +75,13 @@ class TestExtract:
         events = [json.loads(ln) for ln in path.read_text().splitlines()]
         assert any(e["branch"] == "y_empty" for e in events)
 
+    def test_ordinary_trace_file(self, capsys, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        code, _ = run_json(capsys, "extract", "--mode", "ordinary", "Dhc", "--trace", str(path))
+        assert code == 0
+        events = [json.loads(ln) for ln in path.read_text().splitlines()]
+        assert [e["branch"] for e in events] == ["clique", "p4_removal"]
+
     def test_extract_then_verify_round_trip(self, capsys):
         code, obj = run_json(capsys, "extract", "Dhc")
         assert code == 0
@@ -232,6 +239,15 @@ class TestHuntCommand:
         code, obj = run_json(capsys, "hunt", "--checkpoint", str(ckpt))
         assert code == 1 and "--output" in obj["error"]
         assert not ckpt.exists()
+
+    def test_hunt_nan_budget_exit_1(self, capsys, tmp_path):
+        corpus = tmp_path / "c.g6"
+        corpus.write_text("Dhc\n")
+        out = tmp_path / "r.jsonl"
+        code, obj = run_json(capsys, "hunt", "--input", str(corpus), "--output", str(out), "--budget", "nan")
+        assert code == 1
+        assert obj["schema"] == "domminor/error/v1" and "time budget" in obj["error"]
+        assert not out.exists()
 
     def test_hunt_resume_without_its_output_exit_1(self, capsys, tmp_path):
         corpus = tmp_path / "c.g6"

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,54 @@ class TestVerifiers:
     def test_model_json_round_trip(self):
         lists = [[0, 1, 2], [3], [4]]
         assert model_to_lists(model_from_lists(lists)) == lists
+
+
+class TestDominationReference:
+    @staticmethod
+    def reference(g: Graph, model):
+        """The dominating verifier written vertex by vertex."""
+        bad = exact_mod._structural_report(g, model)
+        if bad is not None:
+            return bad.condition, bad.set_index, bad.other_index, bad.witness
+        for j in range(1, len(model)):
+            for i in range(j):
+                for v in range(g.n):
+                    if model[j] >> v & 1 and g.adj[v] & model[i] == 0:
+                        return "domination", i + 1, j + 1, v
+        return None, None, None, None
+
+    @staticmethod
+    def pieces(g: Graph, t: int):
+        while t:
+            piece = frontier = t & -t
+            while frontier:
+                frontier = neighbors_of_set(g, frontier) & t & ~piece
+                piece |= frontier
+            yield piece
+            t &= ~piece
+
+    def test_random_partitions_of_the_atlas(self):
+        # random partitions of a random vertex subset, as drawn and with each
+        # part split into its connected pieces (which reach the domination
+        # test); most are invalid
+        rng = random.Random(3)
+        graphs = [parse_graph6(s) for n in range(8) for s in (DATA / f"graphs{n}.g6").read_text().split()]
+        conditions = Counter()
+        for g in graphs:
+            for _ in range(8):
+                k = rng.randint(1, max(g.n, 1))
+                parts = [0] * k
+                for v in range(g.n):
+                    if rng.random() < 0.85:
+                        parts[rng.randrange(k)] |= 1 << v
+                pieces = [c for t in parts for c in self.pieces(g, t)]
+                rng.shuffle(pieces)
+                for model in (tuple(parts), tuple(pieces)):
+                    r = verify_dominating_model(g, model)
+                    assert (r.condition, r.set_index, r.other_index, r.witness) == self.reference(g, model)
+                    conditions[r.condition] += 1
+        assert conditions["domination"] > 5000 and conditions[None] > 1000
+        assert {"nonempty", "connected"} <= set(conditions)
 
 
 class TestChromatic:

@@ -374,6 +374,33 @@ class TestOrdinaryExtraction:
             assert verify_ordinary_model(g, model).valid
 
 
+class TestOrdinaryTrace:
+    def test_one_p4_removal_per_level_then_the_base_case(self):
+        # the ordinary extractor runs the shared recursion, so its trace has
+        # a p4_removal event at each depth 0..k-1 and a clique or empty one
+        # at depth k; the prefix of each step is its P4's two end pairs
+        data = Path(__file__).parent / "data"
+        atlas = [parse_graph6(s) for n in range(8) for s in (data / f"graphs{n}.g6").read_text().split()]
+        graphs = [g for g in atlas if is_2k2_free(g)] + [random_2k2_free(14, 0.3, seed) for seed in range(20)]
+        ends = set()
+        for g in graphs:
+            tr = Trace()
+            model = extract_ordinary_minor(g, trace=tr)
+            assert model == extract_ordinary_minor(g)
+            events = sorted(tr.events, key=lambda e: e["depth"])
+            k = len(events) - 1
+            assert [e["depth"] for e in events] == list(range(k + 1))
+            assert all(e["branch"] == "p4_removal" for e in events[:k])
+            assert events[k]["branch"] in ("clique", "empty")
+            ends.add(events[k]["branch"])
+            for e in events[:k]:
+                assert set(e) == {"depth", "branch", "p4", "prefix", "removed"}
+                assert e["prefix"] == [sorted(e["p4"][:2]), sorted(e["p4"][2:])]
+            if k:
+                assert model_to_lists(model)[:2] == events[0]["prefix"]
+        assert ends == {"clique", "empty"}
+
+
 class TestPinnedExtraction:
     # md5 over "graph6 model trace" lines, with each trace event's keys
     # sorted, for the 3,161 2K2-free atlas graphs (n <= 8) and every crafted

@@ -226,6 +226,13 @@ class TestRunHunt:
         with pytest.raises(HuntError):
             HuntConfig(graph_filter="planar").validate()
 
+    def test_budget_must_be_a_positive_number(self):
+        # NaN fails every comparison, so "budget <= 0" let it through and it
+        # silently turned the deadline off; an infinite budget stays allowed
+        with pytest.raises(HuntError, match="time budget"):
+            HuntConfig(time_budget_s=float("nan")).validate()
+        HuntConfig(time_budget_s=float("inf")).validate()
+
     def test_checkpoint_requires_output_path(self, corpus_file, tmp_path):
         import io
 
@@ -621,6 +628,29 @@ class TestCheckpointRefusals:
         cfg = HuntConfig(input_path=str(full), output_path=str(out), checkpoint_path=str(ckpt))
         with pytest.raises(HuntError, match="input_sha256"):
             run_hunt(cfg)
+
+    def test_empty_checkpoint_starts_over(self, tmp_path):
+        # a run killed between creating the checkpoint and its first write
+        # leaves an empty file; no record was checkpointed, so a resume
+        # recomputes every record into a fresh output
+        full, out, ckpt = self.interrupted(tmp_path)
+        plain = tmp_path / "plain.jsonl"
+        run_hunt(HuntConfig(input_path=str(full), output_path=str(plain)))
+        ckpt.write_bytes(b"")
+        out.write_text("partial record from the killed run")
+        cfg = HuntConfig(input_path=str(full), output_path=str(out), checkpoint_path=str(ckpt))
+        assert run_hunt(cfg).total == 40
+        assert strip_elapsed(read_records(out)) == strip_elapsed(read_records(plain))
+        assert json.loads(ckpt.read_text())["next_line"] == 41
+
+    def test_refuses_non_json_checkpoint(self, tmp_path):
+        full, out, ckpt = self.interrupted(tmp_path)
+        before = out.read_bytes()
+        ckpt.write_text("not a checkpoint")
+        cfg = HuntConfig(input_path=str(full), output_path=str(out), checkpoint_path=str(ckpt))
+        with pytest.raises(HuntError, match="unreadable checkpoint"):
+            run_hunt(cfg)
+        assert out.read_bytes() == before
 
     def test_accepts_other_input_after_the_consumed_prefix(self, tmp_path):
         full, out, ckpt = self.interrupted(tmp_path)
