@@ -107,6 +107,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_extract(args) -> int:
     g = _load_graph(args)
     trace = extraction.Trace() if args.trace else None
+    extracted = False
     try:
         if args.mode == "dominating":
             model = extraction.extract_dominating(g, trace=trace)
@@ -114,11 +115,16 @@ def _cmd_extract(args) -> int:
         else:
             model = extraction.extract_ordinary_minor(g, trace=trace)
             report = exact.verify_ordinary_model(g, model)
+        extracted = True
     except extraction.Not2K2FreeError as exc:
         raise CliError(str(exc), {"witness": list(exc.witness)})
     finally:
-        if trace is not None and args.trace:
-            trace.write(args.trace)
+        if trace is not None:
+            try:
+                trace.write(args.trace)
+            except OSError as exc:
+                if extracted:  # otherwise the extraction's own error is the one reported
+                    raise CliError(f"cannot write trace: {exc}")
     chi, _ = exact.chromatic_number(g)
     obj = {
         "schema": "domminor/extract/v1",

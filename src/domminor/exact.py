@@ -127,6 +127,15 @@ def model_to_lists(model: MinorModel) -> list[list[int]]:
 
 
 def model_from_lists(lists: list[list[int]]) -> MinorModel:
+    """The model whose branch sets are the given vertex lists; raises
+    ``ValueError`` unless ``lists`` is a list of lists of non-negative ints
+    (``bool`` is not an int here)."""
+    if not isinstance(lists, list) or not all(isinstance(part, list) for part in lists):
+        raise ValueError("a model is a list of lists of vertex ids")
+    for part in lists:
+        for v in part:
+            if type(v) is not int or v < 0:
+                raise ValueError(f"vertex id {v!r} is not a non-negative integer")
     return tuple(mask_of(part) for part in lists)
 
 
@@ -160,15 +169,25 @@ def _edge_count(adj: tuple[int, ...], m: int) -> int:
 
 
 @graph_memo
-def clique_number(g: Graph) -> tuple[int, int]:
+def clique_number(g: Graph, _ub: int | None = None) -> tuple[int, int]:
     """Exact maximum clique as (omega, vertex mask), deterministic witness.
 
     The witness is the lexicographically least maximum clique.  Answers are
     remembered for the last ``GRAPH_MEMO_SIZE`` (64) distinct graphs, keyed
     by the graph (see :func:`~domminor.graphs.graph_memo`).
+
+    The search stops as soon as its clique is as large as an upper bound on
+    omega: omega <= chi <= DSATUR's class count (Brelaz 1979), so nothing
+    larger exists.  The lexicographic search only updates its best clique
+    on a strict gain, so the first clique of that size it meets is the one
+    the unstopped search would return; the stop skips only the proof of
+    optimality.  ``_ub`` is that bound, given by :func:`chromatic_number`,
+    which has DSATUR's count at hand; without it the count is computed
+    here.  It is used only on a memo miss.
     """
     if g.n == 0:
         return 0, 0
+    stop = _dsatur_greedy(g)[0] if _ub is None else _ub
     adj = g.adj
     best_size = 0
     best_mask = 0
@@ -190,6 +209,8 @@ def clique_number(g: Graph) -> tuple[int, int]:
             v = (p & -p).bit_length() - 1
             b = 1 << v
             expand(r_mask | b, r_size + 1, p & adj[v])
+            if best_size == stop:
+                return
             p &= ~b
 
     try:
@@ -312,7 +333,7 @@ def chromatic_number(g: Graph, deadline_s: float | None = None) -> tuple[int, tu
         else:
             sub, verts = induced_subgraph(g, comp)
         ub, greedy = _dsatur_greedy(sub)
-        lb = clique_number(sub)[0]
+        lb = clique_number(sub, _ub=ub)[0]
         sub_colors = greedy
         sub_k = ub
         for kk in range(lb, ub):

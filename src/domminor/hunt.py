@@ -418,13 +418,17 @@ class _Checkpoint:
         if self.path is None:
             return
         data = json.dumps(self._fields(next_line, output_bytes, input_sha256)).encode()
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
-            data = data.ljust(os.fstat(fd).st_size)
-            if os.write(fd, data) != len(data):
-                raise HuntError(f"short write to checkpoint {self.path}")
-        finally:
-            os.close(fd)
+            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666)
+            try:
+                data = data.ljust(os.fstat(fd).st_size)
+                written = os.write(fd, data)
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            raise HuntError(f"cannot write checkpoint: {exc}") from exc
+        if written != len(data):
+            raise HuntError(f"short write to checkpoint {self.path}")
 
 
 class _InProcess:
@@ -461,7 +465,10 @@ def run_hunt(cfg: HuntConfig, record_stream=None) -> HuntSummary:
 
         if cfg.output_path is not None:
             resume = next_line > 0 and os.path.exists(cfg.output_path)
-            out_fh = stack.enter_context(open(cfg.output_path, "r+" if resume else "w", encoding="utf-8"))
+            try:
+                out_fh = stack.enter_context(open(cfg.output_path, "r+" if resume else "w", encoding="utf-8"))
+            except OSError as exc:
+                raise HuntError(f"cannot write output: {exc}") from exc
             if resume:
                 # records before the checkpointed byte stay; later partial output
                 # from an interrupted run is discarded and recomputed

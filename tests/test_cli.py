@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 from domminor.cli import main
 from domminor.generators import cycle, two_k2
 from domminor.graphs import emit_edge_list, emit_graph6
+
+GRAPHS3 = Path(__file__).parent / "data" / "graphs3.g6"
 
 
 def run(capsys, *argv):
@@ -82,6 +85,18 @@ class TestExtract:
         events = [json.loads(ln) for ln in path.read_text().splitlines()]
         assert [e["branch"] for e in events] == ["clique", "p4_removal"]
 
+    def test_unwritable_trace_exit_1(self, capsys, tmp_path):
+        code, obj = run_json(capsys, "extract", "C~", "--trace", str(tmp_path / "no" / "t.jsonl"))
+        assert code == 1
+        assert obj["schema"] == "domminor/error/v1" and "cannot write trace" in obj["error"]
+
+    def test_unwritable_trace_keeps_the_extraction_error(self, capsys, tmp_path):
+        code, obj = run_json(
+            capsys, "extract", emit_graph6(two_k2()), "--trace", str(tmp_path / "no" / "t.jsonl")
+        )
+        assert code == 1
+        assert obj["witness"] == [0, 1, 2, 3] and "trace" not in obj["error"]
+
     def test_extract_then_verify_round_trip(self, capsys):
         code, obj = run_json(capsys, "extract", "Dhc")
         assert code == 0
@@ -115,6 +130,17 @@ class TestVerify:
     def test_malformed_model(self, capsys):
         code, obj = run_json(capsys, "verify", "Dhc", "--model", "[[0,")
         assert code == 1 and "malformed model JSON" in obj["error"]
+
+    def test_non_models_exit_1(self, capsys):
+        # a dict's keys, a bool read as vertex 1 and a negative shift are
+        # not models
+        for text in ("{}", "[[true]]", "[[-1]]", "[1]", '"ab"', "[[1.0]]"):
+            code, obj = run_json(capsys, "verify", "C~", "--model", text)
+            assert code == 1 and "malformed model JSON" in obj["error"], text
+
+    def test_empty_model_is_valid(self, capsys):
+        code, obj = run_json(capsys, "verify", "C~", "--model", "[]")
+        assert code == 0 and obj["valid"] is True
 
 
 class TestHd:
@@ -228,6 +254,24 @@ class TestHuntCommand:
     def test_hunt_missing_input_exit_1(self, capsys, tmp_path):
         code, obj = run_json(capsys, "hunt", "--input", str(tmp_path / "nope.g6"))
         assert code == 1
+
+    def test_hunt_unwritable_output_exit_1(self, capsys, tmp_path):
+        code, obj = run_json(
+            capsys, "hunt", "--input", str(GRAPHS3), "--output", str(tmp_path / "no" / "r.jsonl")
+        )
+        assert code == 1
+        assert obj["schema"] == "domminor/error/v1" and "cannot write output" in obj["error"]
+
+    def test_hunt_unwritable_checkpoint_exit_1(self, capsys, tmp_path):
+        # the checkpoint is first written after the first chunk's records
+        out = tmp_path / "r.jsonl"
+        code, obj = run_json(
+            capsys, "hunt", "--input", str(GRAPHS3), "--output", str(out),
+            "--checkpoint", str(tmp_path / "no" / "ck.json"),
+        )
+        assert code == 1
+        assert obj["schema"] == "domminor/error/v1" and "cannot write checkpoint" in obj["error"]
+        assert len(out.read_text().splitlines()) == 4
 
     def test_hunt_checkpoint_without_output_exit_1(self, capsys, tmp_path, monkeypatch):
         class Unread:

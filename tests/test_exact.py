@@ -41,6 +41,7 @@ from domminor.graphs import (
     GRAPH_MEMO_SIZE,
     Graph,
     complement,
+    connected_components,
     emit_graph6,
     from_edge_list,
     induced_subgraph,
@@ -332,6 +333,90 @@ def mycielski(g: Graph) -> Graph:
     edges += [(u, v + n) for u, v in g.edges()] + [(v, u + n) for u, v in g.edges()]
     edges += [(v + n, 2 * n) for v in range(n)]
     return from_edge_list(2 * n + 1, edges)
+
+
+def unstopped_clique_number(g: Graph) -> tuple[int, int]:
+    """The clique search without the stop at DSATUR's count: it proves
+    optimality before it returns."""
+    if g.n == 0:
+        return 0, 0
+    adj = g.adj
+    best = [0, 0]
+
+    def expand(r_mask: int, r_size: int, p: int) -> None:
+        if p == 0:
+            if r_size > best[0]:
+                best[:] = r_size, r_mask
+            return
+        if r_size + p.bit_count() <= best[0]:
+            return
+        if r_size + exact_mod._greedy_class_count(adj, p, best[0] - r_size + 1) <= best[0]:
+            return
+        while p:
+            if r_size + p.bit_count() <= best[0]:
+                return
+            v = (p & -p).bit_length() - 1
+            expand(r_mask | 1 << v, r_size + 1, p & adj[v])
+            p &= ~(1 << v)
+
+    expand(0, 0, g.full_mask)
+    return best[0], best[1]
+
+
+class TestCliqueStop:
+    # omega <= chi <= DSATUR's count, so the search may stop at a clique of
+    # that size; the lexicographic search meets no other clique of it first
+
+    def test_atlas_matches_unstopped_search(self):
+        clique_number.cache_clear()
+        count = 0
+        for n in range(9):
+            for line in (DATA / f"graphs{n}.g6").read_text().split():
+                g = parse_graph6(line)
+                assert clique_number(g) == unstopped_clique_number(g), line
+                count += 1
+        assert count == 13_599
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 14), st.floats(0.05, 0.95), st.integers(0, 10**6))
+    def test_gnp_matches_unstopped_search(self, n, p, seed):
+        clique_number.cache_clear()
+        g = random_gnp(n, p, seed)
+        assert clique_number(g) == unstopped_clique_number(g)
+
+    def test_stop_saves_colourings(self, monkeypatch):
+        # chromatic_number's clique searches over criterion 1's first 156
+        # graphs run 5,705 greedy colourings without the stop and 3,232
+        # with it
+        runs = 0
+        greedy = exact_mod._greedy_class_count
+
+        def counted(*args):
+            nonlocal runs
+            runs += 1
+            return greedy(*args)
+
+        graphs = [random_2k2_free(5 + i % 26, (0.08, 0.15, 0.25, 0.4, 0.6, 0.8)[i % 6], i) for i in range(156)]
+        monkeypatch.setattr(exact_mod, "_greedy_class_count", counted)
+        for g in graphs:
+            chromatic_number(g)
+        assert runs <= 3_600
+
+    def test_direct_call_matches_hinted_call(self):
+        checked = 0
+        for i in range(156):
+            g = random_2k2_free(5 + i % 26, (0.08, 0.15, 0.25, 0.4, 0.6, 0.8)[i % 6], i)
+            if len(connected_components(g)) != 1:
+                continue
+            clique_number.cache_clear()
+            direct = clique_number(g)
+            clique_number.cache_clear()
+            chromatic_number.cache_clear()
+            chromatic_number(g)  # asks clique_number(g, _ub=DSATUR's count)
+            assert clique_number.cache_info().misses == 1
+            assert clique_number(g) == direct
+            checked += 1
+        assert checked > 50
 
 
 class TestGraphMemo:
