@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph, bits, graph_memo, is_connected_set, mask_of, neighbors_of_set, set_to_list
+from .graphs import Graph, _reach, bits, graph_memo, is_connected_set, mask_of, neighbors_of_set, set_to_list
 
 DEFAULT_SEARCH_CAP = 16
 
@@ -177,17 +177,18 @@ def clique_number(g: Graph, _ub: int | None = None) -> tuple[int, int]:
     by the graph (see :func:`~domminor.graphs.graph_memo`).
 
     The search stops as soon as its clique is as large as an upper bound on
-    omega: omega <= chi <= DSATUR's class count (Brelaz 1979), so nothing
+    omega, the class count of a proper colouring (omega <= chi), so nothing
     larger exists.  The lexicographic search only updates its best clique
     on a strict gain, so the first clique of that size it meets is the one
     the unstopped search would return; the stop skips only the proof of
     optimality.  ``_ub`` is that bound, given by :func:`chromatic_number`,
-    which has DSATUR's count at hand; without it the count is computed
-    here.  It is used only on a memo miss.
+    which has DSATUR's count (Brelaz 1979) at hand.  Without it the bound is
+    the class count of one greedy colouring in index order, which costs less
+    than a DSATUR run.  It is used only on a memo miss.
     """
     if g.n == 0:
         return 0, 0
-    stop = _dsatur_greedy(g)[0] if _ub is None else _ub
+    stop = _greedy_class_count(g.adj, g.full_mask, g.n) if _ub is None else _ub
     adj = g.adj
     best_size = 0
     best_mask = 0
@@ -359,7 +360,9 @@ def is_proper_coloring(g: Graph, colors: tuple[int, ...], k: int) -> bool:
 # connected-set enumeration
 # ---------------------------------------------------------------------------
 
-def _connected_sets_with_neighbors(g: Graph, within: int, max_size: int) -> Iterator[tuple[int, int]]:
+def _connected_sets_with_neighbors(
+    g: Graph, within: int, max_size: int, root: int | None = None
+) -> Iterator[tuple[int, int]]:
     """``(S, N(S))`` for every connected subset S of ``within`` with at most
     ``max_size`` vertices, where N(S) is the OR of ``adj[v]`` over S.
 
@@ -370,13 +373,19 @@ def _connected_sets_with_neighbors(g: Graph, within: int, max_size: int) -> Iter
     child's N is its parent's N OR ``adj[v]``.  The sets come in the order
     ``enumerate_connected_sets`` documents; ``within`` must lie inside the
     vertex set.
+
+    Given ``root``, a one-vertex mask inside ``within``, only the sets that
+    contain it are walked: each size runs just the first iteration of its
+    loop over roots, with ``root`` in place of the least vertex.
     """
     adj = g.adj
     for size in range(1, max_size + 1):
         allowed = within
-        while allowed:
-            s0 = allowed & -allowed
-            allowed ^= s0  # the root is the set's least vertex
+        roots = within if root is None else root
+        while roots:
+            s0 = roots & -roots
+            roots ^= s0
+            allowed &= ~s0  # unrooted, the root is the set's least vertex
             nb0 = adj[s0.bit_length() - 1]
             if size == 1:
                 yield s0, nb0
@@ -431,6 +440,22 @@ def _check_cap(g: Graph, cap: int) -> None:
         )
 
 
+def _largest_set(adj: tuple[int, ...], m: int, rest: int) -> int:
+    """The most vertices the next branch set drawn from ``m`` may take when
+    ``rest`` more sets follow it inside ``m``.
+
+    This is the singleton-clique bound.  Any two single-vertex branch sets of
+    a model are adjacent, so the singletons form a clique and number at most
+    ω, at most the class count of a greedy colouring; every other set has two
+    or more vertices.  So the ``rest`` sets need ``rest + max(0, rest -
+    classes(m))`` vertices.
+    """
+    limit = m.bit_count() - rest
+    if rest >= 2:
+        limit -= rest - _greedy_class_count(adj, m, rest)
+    return limit
+
+
 def has_dominating_kt(
     g: Graph,
     t: int,
@@ -441,41 +466,39 @@ def has_dominating_kt(
 ) -> MinorModel | None:
     """A verified dominating K_t model, or ``None`` after exhaustive search.
 
-    Depth-first over ordered set sequences: T_1 ranges over connected sets;
-    candidates for every later set are restricted to vertices adjacent to all
-    sets chosen so far, which makes the domination pruning monotone.  The
-    connected-set walker hands over N(S) with each set S, grown along with S,
-    so the next candidate mask is one AND.
+    The search looks only for models in normal form, where T_2, ..., T_t
+    partition R = N(T_1) minus T_1.  Every dominating K_t model grows into
+    one.  Take an uncovered x in R and let j be the largest index such that x
+    is adjacent to T_1, ..., T_{j-1}; add x to T_{j-1}, or to T_t if x is
+    adjacent to every set.  The set x joins stays connected, since x is
+    adjacent to it.  Domination still holds: x has a neighbour in every
+    earlier set, and every vertex of a later set already had one in the set
+    x joins.  The union grows, so the process ends, with R covered (R grows
+    too when x joins T_1).
 
-    Dead states are memoised.  Whether ``r`` more sets can be chosen depends
-    only on the candidate mask ``cand``: it already excludes the chosen sets
-    and keeps only vertices adjacent to every one of them.  Failure is
-    monotone in ``r``, since the first ``r`` sets of a longer model are a
-    model the search would find.  So ``dead[cand]`` stores the smallest ``r``
-    proven to fail from ``cand`` (0: unknown), a state at or above it is
-    skipped, and the facts hold for every t: ``dominating_hadwiger_number``
-    shares one memo across its probes through ``_dead``.  The memo is a
-    ``bytearray`` of 2^n bytes (64 KiB at the default cap).  It skips only
-    subtrees that return ``None``, so the returned model is the one the
-    unmemoised search finds.
+    So T_1 is walked freely over connected sets, and ``part(R, r)`` splits R
+    into r connected sets, each dominating everything after it: the next set
+    S is kept only if ``R & ~S & ~N(S) == 0``.  Let u be the vertex of R with
+    the fewest neighbours in R.  S meets N_R[u], since u lies in S or in a
+    later set, which needs a neighbour of u in S.  So S is walked once from
+    each root x in N_R[u], inside R minus the earlier roots.  The walker
+    hands over N(S) with each set S, grown along with S.
 
-    The walk is also cut by the singleton-clique bound.  Any two single-vertex
-    branch sets of a model are adjacent, so the singletons form a clique and
-    number at most ω, at most the class count of a greedy colouring; every
-    other set has two or more vertices.  So ``rest`` sets still to be chosen
-    from ``cand`` after S need ``rest + max(0, rest - classes(cand))``
-    vertices, and S has at most ``avail`` minus that many.
+    A mask R is split into r sets only if |R| >= r, R is connected and G[R]
+    has at least C(r, 2) + |R| - r edges: the r sets are disjoint, connected
+    and pairwise adjacent, so they need |R| - r edges inside them and one
+    edge between each pair.  At both levels, the size of the set walked is
+    capped by the singleton-clique bound of :func:`_largest_set`.
 
-    Each walked S is tested before the search recurses into
-    ``nxt = cand & ~s & nb`` for the ``rest`` sets still to choose.  S is
-    skipped when ``nxt`` has fewer than ``rest`` vertices, when ``dead[nxt]``
-    already fails ``rest``, or by the K_r edge bound: the ``rest`` sets are
-    disjoint and pairwise adjacent, so each pair needs an edge of its own and
-    ``G[nxt]`` must have at least C(rest, 2) edges.  A mask that fails the
-    edge bound is recorded as ``dead[nxt] = rest``.  Like the memo, both
-    bounds skip only subtrees that fail, so the returned model does not
-    change.  The deadline ticks once per walked set, since most sets never
-    reach a recursive call.
+    Dead states are memoised: ``dead[R]`` is the smallest r for which R is
+    proven not to split (0: unknown), and a mask that fails the cuts is
+    recorded too.  Failure is monotone in r, since merging the last two sets
+    of a split gives one with a set fewer.  So the facts hold for every t:
+    ``dominating_hadwiger_number`` shares one memo across its probes through
+    ``_dead``.  The memo is a ``bytearray`` of 2^n bytes (64 KiB at the
+    default cap).  The memo and the cuts skip only subtrees that fail, so the
+    returned model is the first normal-form model of the walk order.  The
+    deadline ticks once per walked set.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -489,37 +512,58 @@ def has_dominating_kt(
     deadline = Deadline(deadline_s)
     dead = bytearray(1 << g.n) if _dead is None else _dead
     adj = g.adj
+    chosen: list[int] = []
 
-    def rec(cand: int, chosen: list[int], remaining: int) -> MinorModel | None:
-        # cand has at least ``remaining`` vertices and is not known to fail
-        if remaining == 0:
-            return tuple(chosen)
-        rest = remaining - 1
-        limit = cand.bit_count() - rest
-        if rest >= 2:
-            # the rest sets include at most classes(cand) singletons
-            limit -= rest - _greedy_class_count(adj, cand, rest)
-        pairs = rest * (rest - 1) // 2
-        for s, nb in _connected_sets_with_neighbors(g, cand, limit):
-            deadline.tick()
-            nxt = cand & ~s & nb
-            if nxt.bit_count() < rest or 0 < dead[nxt] <= rest:
-                continue
-            if pairs and _edge_count(adj, nxt) < pairs:
-                dead[nxt] = rest
-                continue
-            chosen.append(s)
-            found = rec(nxt, chosen, rest)
-            if found is not None:
-                return found
-            chosen.pop()
-        dead[cand] = remaining
-        return None
+    def splits(m: int, r: int) -> bool:
+        """Whether ``m`` passes the memo and the cuts for ``r`` sets."""
+        size = m.bit_count()
+        if size < r or 0 < dead[m] <= r:
+            return False
+        if _edge_count(adj, m) < r * (r - 1) // 2 + size - r or _reach(g, m & -m, m) != m:
+            dead[m] = r
+            return False
+        return True
 
+    def part(m: int, r: int) -> bool:
+        # m passed ``splits(m, r)``; on success ``chosen`` ends with the r sets
+        if r == 1:
+            chosen.append(m)
+            return True
+        rest = r - 1
+        limit = _largest_set(adj, m, rest)
+        u = min(bits(m), key=lambda v: (adj[v] & m).bit_count())
+        roots = adj[u] & m | 1 << u
+        within = m
+        while roots:
+            x = roots & -roots
+            roots ^= x
+            for s, nb in _connected_sets_with_neighbors(g, within, limit, x):
+                deadline.tick()
+                nxt = m & ~s
+                if nxt & ~nb or not splits(nxt, rest):
+                    continue
+                chosen.append(s)
+                if part(nxt, rest):
+                    return True
+                chosen.pop()
+            within ^= x
+        dead[m] = r
+        return False
+
+    rest = t - 1
+    model = None
     try:
-        model = rec(g.full_mask, [], t)
+        for s, nb in _connected_sets_with_neighbors(g, g.full_mask, _largest_set(adj, g.full_mask, rest)):
+            deadline.tick()
+            r_mask = nb & ~s
+            if splits(r_mask, rest):
+                chosen.append(s)
+                if part(r_mask, rest):
+                    model = tuple(chosen)
+                    break
+                chosen.pop()
     finally:
-        del rec  # the closure refers to itself; free it without the cyclic collector
+        del part  # the closure refers to itself; free it without the cyclic collector
     if model is not None:
         _require_valid(g, model)
     return model
@@ -530,13 +574,10 @@ def has_kt_minor(
 ) -> bool:
     """Exact ordinary K_t minor decision (small-scale exhaustive search).
 
-    The walk is cut by the singleton-clique bound of
-    :func:`has_dominating_kt`: single-vertex branch sets are pairwise
-    adjacent, so at most ``classes(avail)`` of the ``remaining - 1`` sets
-    after S are singletons and the others need two vertices each.  Each
-    walked S is also tested by the K_r edge bound of
-    :func:`has_dominating_kt` on the next call's ``avail`` (``avail & ~s``
-    minus every vertex up to the least of S): the ``rest`` sets drawn from it
+    The walk is cut by the singleton-clique bound of :func:`_largest_set`.
+    Each walked S is also tested by the K_r edge bound on the next call's
+    ``avail`` (``avail & ~s`` minus every vertex up to the least of S): the
+    ``rest`` sets drawn from it are disjoint and pairwise adjacent, so they
     need C(rest, 2) edges between them.  The deadline ticks once per walked
     set.
     """
@@ -557,9 +598,7 @@ def has_kt_minor(
         if remaining == 0:
             return True
         rest = remaining - 1
-        limit = avail.bit_count() - rest
-        if rest >= 2:
-            limit -= rest - _greedy_class_count(adj, avail, rest)
+        limit = _largest_set(adj, avail, rest)
         if limit < 1:
             return False
         pairs = rest * (rest - 1) // 2

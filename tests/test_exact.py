@@ -614,11 +614,52 @@ class TestInvariantProperties:
     def test_t_le_3_equivalence(self, g, t):
         assert (has_dominating_kt(g, t) is not None) == has_kt_minor(g, t)
 
+    @settings(max_examples=150, deadline=None)
+    @given(random_graphs(max_n=7, min_n=4), st.integers(min_value=3, max_value=5))
+    def test_found_model_is_normal_form(self, g, t):
+        # past the clique shortcut, T_2, ..., T_t partition N(T_1) minus T_1
+        model = has_dominating_kt(g, t)
+        if model is None or clique_number(g)[0] >= t:
+            return
+        rest = 0
+        for s in model[1:]:
+            rest |= s
+        assert rest == neighbors_of_set(g, model[0]) & ~model[0]
+
+
+class TestDominatingDecisionsPinned:
+    # digests over the atlas graphs with 1 <= n <= 7, taken from the search
+    # that walked every later branch set freely over its candidate mask; any
+    # cut or normal form must leave every decision and every h_d unchanged
+
+    @staticmethod
+    def atlas():
+        for n in range(1, 8):
+            for line in (DATA / f"graphs{n}.g6").read_text().split():
+                yield line, parse_graph6(line)
+
+    def test_decisions_pinned(self):
+        h = hashlib.md5()
+        count = 0
+        for line, g in self.atlas():
+            for t in range(1, g.n + 1):
+                h.update(f"{line} {t} {has_dominating_kt(g, t) is not None}\n".encode())
+                count += 1
+        assert count == 8475
+        assert h.hexdigest() == "68fc1c306ca8c9a5a368a9a71eb35c18"
+
+    def test_hd_pinned(self):
+        h = hashlib.md5()
+        for line, g in self.atlas():
+            h.update(f"{line} {dominating_hadwiger_number(g)[0]}\n".encode())
+        assert h.hexdigest() == "4e30b55f6354ec4bdbdc93dd0402a61a"
+
 
 class TestDeadStateMemo:
     def test_atlas_models_pinned(self):
         # (graph6, h_d, model) over all 1,252 graphs with 1 <= n <= 7; the
-        # digest was taken from the search before it had a memo
+        # digest was taken from the rooted partition search, whose models
+        # are in normal form (h_d as pinned by TestDominatingDecisionsPinned)
         h = hashlib.md5()
         count = 0
         for n in range(1, 8):
@@ -627,7 +668,7 @@ class TestDeadStateMemo:
                 h.update(f"{line} {hd} {model}\n".encode())
                 count += 1
         assert count == 1252
-        assert h.hexdigest() == "8350319040fba59bdae332e5599d191a"
+        assert h.hexdigest() == "7a4835019b1efb057a5f7059db55ab6f"
 
     @pytest.mark.parametrize("n, seed", [(12, 1), (12, 2), (13, 1), (13, 3)])
     def test_shared_memo_probe_matches_fresh_search(self, monkeypatch, n, seed):
@@ -654,8 +695,41 @@ class TestDeadStateMemo:
             dominating_hadwiger_number(g, deadline_s=1e-4)
         with pytest.raises(SearchDeadlineExceeded):
             has_dominating_kt(g, 9, deadline_s=1e-4)
-        assert dominating_hadwiger_number(g) == (8, (33, 66, 4100, 272, 8, 128, 1024, 2048))
+        assert dominating_hadwiger_number(g) == (8, (33, 66, 4612, 272, 8, 128, 1024, 2048))
         assert has_dominating_kt(g, 9) is None
+
+    @staticmethod
+    def brute_splits(g: Graph, m: int, r: int) -> bool:
+        """Whether ``m`` is a union of r disjoint connected sets, each with a
+        neighbour of every vertex of ``m`` that comes after it."""
+        if r == 1:
+            return is_connected_set(g, m)
+        s = m
+        while s:
+            rest = m & ~s
+            if rest and is_connected_set(g, s) and rest & ~neighbors_of_set(g, s) == 0:
+                if TestDeadStateMemo.brute_splits(g, rest, r - 1):
+                    return True
+            s = (s - 1) & m
+        return False
+
+    def test_dead_entries_are_sound(self):
+        # every dead[m] = r left by the probes of an h_d computation must
+        # be a mask that does not split into r sets, or a shared memo could
+        # cut a model in a later probe
+        entries = 0
+        for n in range(3, 8):
+            for line in (DATA / f"graphs{n}.g6").read_text().split():
+                g = parse_graph6(line)
+                dead = bytearray(1 << n)
+                t = clique_number(g)[0] + 1
+                while t <= n and has_dominating_kt(g, t, _dead=dead) is not None:
+                    t += 1
+                for m, r in enumerate(dead):
+                    if r:
+                        assert not self.brute_splits(g, m, r), (line, m, r)
+                        entries += 1
+        assert entries == 23_566
 
     def test_invalid_model_raises_without_assert(self, monkeypatch):
         # the model check must hold under ``python -O`` too, so it may not be an assert
@@ -670,7 +744,7 @@ class TestDeadStateMemo:
 class TestDeepSearch:
     # the graphs of the benchmark's hd-dense and hd-sparse lists, whose
     # searches go many sets deep; the digest of "label hd model" was taken
-    # from the search that rebuilt N(S) for every set
+    # from the rooted partition search, whose models are in normal form
     GRAPHS = (
         ("2k2(14,.3,5)", lambda: random_2k2_free(14, 0.3, 5)),
         ("2k2(14,.3,1)", lambda: random_2k2_free(14, 0.3, 1)),
@@ -694,7 +768,7 @@ class TestDeepSearch:
             values.append(hd)
             h.update(f"{label} {hd} {model}\n".encode())
         assert values == [8, 7, 7, 9, 8, 8, 5, 5, 5, 5, 5, 3]
-        assert h.hexdigest() == "cedf88ccc92e5963de61767362ea5c41"
+        assert h.hexdigest() == "1c912127c3d81bd7bafb6ec5c9111cad"
 
 
 class TestSingletonCliqueBound:

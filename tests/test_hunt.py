@@ -73,8 +73,10 @@ class TestCheckGraph:
         assert verdict == "capacity"
 
     def test_timeout(self):
-        # a dense 16-vertex instance whose full check takes tens of ms
-        g = random_gnp(16, 0.65, 9)
+        # the timeout comes from chi, not from the minor search: unbudgeted,
+        # chi of this G(55, 1/2) takes ~0.4 s, ~190 times the budget (the
+        # 55 vertices are over the search cap, so no minor search follows)
+        g = random_gnp(55, 0.5, 1)
         verdict, _, detail = check_graph(
             g, ("dominating-hadwiger",), time_budget_s=0.002
         )
@@ -540,10 +542,9 @@ class TestSharedFacts:
 
 class TestPinnedRecords:
     # md5 of every record (minus elapsed_ms, keys sorted) of a hunt with all
-    # four checks over the atlas graphs with n <= 7, pinned from the
-    # implementation that ran the checks through an if-chain, each one
-    # computing its own chi and 2K2 test
-    DIGEST = "ad8dd1ff00bca9db2ab1945188d147f9"
+    # four checks over the atlas graphs with n <= 7, pinned from the rooted
+    # partition search, whose dominating models are in normal form
+    DIGEST = "b2807a0d777a24cb8454ae031a5ede48"
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_atlas_records_digest(self, tmp_path, workers):
