@@ -8,9 +8,15 @@ branch sets that dominate everything kept, recurses on G - U, and stitches
 the results with :func:`lift_model`.  "Dominates everything kept" is one
 mask: the kept vertices X with no neighbor in a set T are X & ~N(T).
 
+chi(G) is computed once, at the root.  The recursion carries the number of
+sets still owed (``need``): a step that prepends c sets owes need - c to
+G - U, which has chromatic number at least chi(G) - c, and a step whose
+prefix already covers ``need`` recurses no further.  Every case analysis
+tests the clique against ``need``, never against a residual chi.
+
 Branches (trace names in parentheses):
 
-* omega(G) >= chi(G), which holds for every {2K2, C4, C5}-free (split)
+* omega(G) >= need, which holds for every {2K2, C4, C5}-free (split)
   graph: maximum clique as singletons ("split_graph" when G is split,
   "clique" otherwise).
 * C5-free with an induced banner: the banner step must complete, since the
@@ -29,8 +35,9 @@ Branches (trace names in parentheses):
 An ordinary (non-dominating) clique minor of the same order is produced by
 :func:`extract_ordinary_minor` on the same recursion with a one-step case
 analysis: remove an induced P4 with the pair split (v1v2, v3v4) in front
-("p4_removal"), until a P4-free graph's maximum clique ends it ("clique").
-Both extractors write the same kind of trace.
+("p4_removal"), until the pairs cover the sets owed or a P4-free graph's
+maximum clique ends it ("clique").  Both extractors write the same kind of
+trace.
 
 Each recursion step is sound by construction and additionally re-verified:
 the lift re-checks domination of every kept branch set by every prepended
@@ -180,7 +187,7 @@ class C5Partition:
 
 class _Ctx:
     """One extraction run: its settings, its trace and its case analysis
-    (``branch(g, chi, ctx, depth)``, the dominating one unless given)."""
+    (``branch(g, need, ctx, depth)``, the dominating one unless given)."""
 
     __slots__ = ("config", "trace", "branch")
 
@@ -230,20 +237,26 @@ def lift_model(g: Graph, prefix: MinorModel, residual: MinorModel, residual_quot
 # ---------------------------------------------------------------------------
 
 def _reduce(
-    g: Graph, prefix: MinorModel, removed: int, chi: int, ctx: _Ctx, depth: int, branch: str, **extra
+    g: Graph, prefix: MinorModel, removed: int, need: int, ctx: _Ctx, depth: int, branch: str, **extra
 ) -> MinorModel:
-    """One reduction step: recurse on G - ``removed`` and put ``prefix`` in front.
+    """One reduction step: put ``prefix`` in front of need - len(prefix) sets
+    of a model of G - ``removed``; once the prefix covers ``need``, no
+    subgraph is built and nothing is recursed on.
 
-    The prefix sets must dominate every kept vertex; :func:`lift_model`
-    re-checks that while keeping the last chi - len(prefix) residual sets.
-    The trace event names the branch and records the prefix and the removed set.
+    Any need <= chi(G) is met, by induction: every branch removes a set U with
+    chi(G[U]) <= c = len(prefix), so chi(G - U) >= chi(G) - c >= need - c and
+    no residual chi is needed.  :func:`lift_model` re-checks that the prefix
+    dominates every kept vertex.  The trace event names the branch and
+    records the prefix and the removed set.
     """
-    sub, verts = induced_subgraph(g, g.full_mask & ~removed)
-    if sub.n >= g.n:
-        raise InternalContradictionError("recursion must shrink the graph", {"n": g.n}, depth)
-    _, residual = _extract(sub, ctx, depth + 1)
-    residual = tuple(relabel_mask(t, verts) for t in residual)
-    model = lift_model(g, prefix, residual, max(0, chi - len(prefix)))
+    rest = need - len(prefix)
+    residual: MinorModel = ()
+    if rest > 0:
+        sub, verts = induced_subgraph(g, g.full_mask & ~removed)
+        if sub.n >= g.n:
+            raise InternalContradictionError("recursion must shrink the graph", {"n": g.n}, depth)
+        residual = tuple(relabel_mask(t, verts) for t in _extract(sub, ctx, depth + 1, rest))
+    model = lift_model(g, prefix, residual, max(0, rest))
     if ctx.trace is not None:
         ctx.trace.record(depth, branch, **extra, prefix=[set_to_list(t) for t in prefix], removed=set_to_list(removed))
     return model
@@ -274,15 +287,16 @@ def _require_dominated(g: Graph, keep: int, prefix: MinorModel, invariant: str, 
         raise InternalContradictionError(invariant, {"vertex": v, "set": set_to_list(t)}, depth)
 
 
-def _finish(g: Graph, chi: int, model: MinorModel, ctx: _Ctx, depth: int) -> MinorModel:
-    """Trim a possibly oversized model to exactly chi sets and optionally verify."""
-    if len(model) < chi:
+def _finish(g: Graph, need: int, model: MinorModel, ctx: _Ctx, depth: int) -> MinorModel:
+    """Trim a possibly oversized model to its last ``need`` sets, the number
+    the caller still owes (chi at the root), and optionally verify."""
+    if len(model) < need:
         raise InternalContradictionError(
-            "model smaller than the chromatic number",
-            {"chi": chi, "got": len(model)},
+            "model smaller than its budget of sets",
+            {"need": need, "got": len(model)},
             depth,
         )
-    model = model[len(model) - chi:]
+    model = model[len(model) - need:]
     if ctx.config.verify_steps:
         report = verify_dominating_model(g, model)
         if not report.valid:
@@ -302,7 +316,7 @@ def _require(ok: bool, invariant: str, context: dict, depth: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _apex_or_complete(
-    g: Graph, banner: tuple[int, int, int, int, int], chi: int, ctx: _Ctx, depth: int
+    g: Graph, banner: tuple[int, int, int, int, int], need: int, ctx: _Ctx, depth: int
 ) -> Completed | int:
     """One orientation of the banner step.
 
@@ -325,18 +339,18 @@ def _apex_or_complete(
     d1 = mask_of((b1, b, bp))
     d2 = mask_of((b2, b3))
     removed = g.full_mask & ~_pair_kept(g, d1, d2)
-    return Completed(_reduce(g, (d1, d2), removed, chi, ctx, depth, "banner_completed", banner=list(banner)))
+    return Completed(_reduce(g, (d1, d2), removed, need, ctx, depth, "banner_completed", banner=list(banner)))
 
 
 def _banner_step(
-    g: Graph, banner: tuple[int, int, int, int, int], chi: int, ctx: _Ctx, depth: int
+    g: Graph, banner: tuple[int, int, int, int, int], need: int, ctx: _Ctx, depth: int
 ) -> BannerOutcome:
     b1, b2, b3, b, bp = banner
-    out5 = _apex_or_complete(g, banner, chi, ctx, depth)
+    out5 = _apex_or_complete(g, banner, need, ctx, depth)
     if isinstance(out5, Completed):
         return out5
     b5 = out5
-    out4 = _apex_or_complete(g, (b3, b2, b1, b, bp), chi, ctx, depth)
+    out4 = _apex_or_complete(g, (b3, b2, b1, b, bp), need, ctx, depth)
     if isinstance(out4, Completed):
         return out4
     b4 = out4
@@ -370,7 +384,7 @@ def banner_step(
 # ---------------------------------------------------------------------------
 
 def _c4_reduction(
-    g: Graph, c4: tuple[int, int, int, int], chi: int, ctx: _Ctx, depth: int
+    g: Graph, c4: tuple[int, int, int, int], need: int, ctx: _Ctx, depth: int
 ) -> MinorModel:
     v1, v2, v3, v4 = c4
     cmask = mask_of(c4)
@@ -387,7 +401,7 @@ def _c4_reduction(
         (mask_of((v1, v4)), mask_of((v2, v3))),
     ):
         if _pair_kept(g, d1, d2) == h:
-            return _reduce(g, (d1, d2), cmask | iso, chi, ctx, depth, "c4_reduction", c4=list(c4))
+            return _reduce(g, (d1, d2), cmask | iso, need, ctx, depth, "c4_reduction", c4=list(c4))
     raise InternalContradictionError(
         "one opposite-pair split of the 4-cycle must dominate everything kept "
         "(otherwise an induced C5 exists)",
@@ -416,16 +430,17 @@ def c4_reduction_step(
 # clique base case
 # ---------------------------------------------------------------------------
 
-def _clique_model(chi: int, omega: int, cmask: int, ctx: _Ctx, depth: int, branch: str) -> MinorModel:
-    """The maximum clique ``cmask`` as chi singleton branch sets, traced as ``branch``.
+def _clique_model(need: int, omega: int, cmask: int, ctx: _Ctx, depth: int, branch: str) -> MinorModel:
+    """The maximum clique ``cmask`` as omega singleton branch sets, traced as ``branch``.
 
-    Callers reach it only where omega >= chi (so omega == chi) or the graph is
-    perfect; the check guards that.
+    Meets a budget of ``need`` sets only if omega >= need.  Callers reach it
+    where that was tested, or where the graph is perfect, so that omega =
+    chi >= need; the check guards that.
     """
     _require(
-        omega == chi,
-        "the clique and chromatic numbers agree",
-        {"omega": omega, "chi": chi},
+        omega >= need,
+        "the clique covers the budget of sets",
+        {"omega": omega, "need": need},
         depth,
     )
     if ctx.trace is not None:
@@ -474,14 +489,14 @@ def _normalize_low_degree(
 
 
 def _low_degree_c5(
-    g: Graph, c5: tuple[int, ...], x: int, chi: int, ctx: _Ctx, depth: int
+    g: Graph, c5: tuple[int, ...], x: int, need: int, ctx: _Ctx, depth: int
 ) -> MinorModel:
     c = _normalize_low_degree(g, c5, x, depth)
     ctx.record(depth, "low_degree_c5", c5=list(c), x=x)
     cmask = mask_of(c)
 
     banner1 = (x, c[0], c[1], c[2], c[3])
-    out1 = _banner_step(g, banner1, chi, ctx, depth)
+    out1 = _banner_step(g, banner1, need, ctx, depth)
     if isinstance(out1, Completed):
         return out1.model
     z, y = out1.b4, out1.b5
@@ -493,7 +508,7 @@ def _low_degree_c5(
         depth,
     )
     banner2 = (x, c[2], c[1], c[0], c[4])
-    out2 = _banner_step(g, banner2, chi, ctx, depth)
+    out2 = _banner_step(g, banner2, need, ctx, depth)
     if isinstance(out2, Completed):
         return out2.model
     u, w = out2.b4, out2.b5
@@ -547,7 +562,7 @@ def _low_degree_c5(
     for dk in d:
         sieved |= pool & ~neighbors_of_set(g, dk)
     return _reduce(
-        g, d, iso | cmask | smask | sieved, chi, ctx, depth, "low_degree_k4", c5=list(c), x=x, quad=list(quad)
+        g, d, iso | cmask | smask | sieved, need, ctx, depth, "low_degree_k4", c5=list(c), x=x, quad=list(quad)
     )
 
 
@@ -571,7 +586,7 @@ def low_degree_c5_step(
 def _partition_fallback_banner(
     g: Graph,
     banner: tuple[int, int, int, int, int],
-    chi: int,
+    need: int,
     ctx: _Ctx,
     depth: int,
     invariant: str,
@@ -590,14 +605,14 @@ def _partition_fallback_banner(
         context | {"banner": banner},
         depth,
     )
-    out = _banner_step(g, banner, chi, ctx, depth)
+    out = _banner_step(g, banner, need, ctx, depth)
     if isinstance(out, Completed):
         return out
     raise InternalContradictionError(invariant, context | {"banner": banner}, depth)
 
 
 def _build_partition(
-    g: Graph, c5: tuple[int, ...], chi: int, ctx: _Ctx, depth: int
+    g: Graph, c5: tuple[int, ...], need: int, ctx: _Ctx, depth: int
 ) -> Completed | C5Partition:
     c = tuple(c5)
     full = g.full_mask
@@ -627,7 +642,7 @@ def _build_partition(
                 b = (non & -non).bit_length() - 1
                 banner = (a, c[(i + 3) % 5], b, c[(i + 1) % 5], c[i])
                 return _partition_fallback_banner(
-                    g, banner, chi, ctx, depth,
+                    g, banner, need, ctx, depth,
                     "each miss-class must be a clique",
                     {"class": i, "pair": (a, b)},
                 )
@@ -635,7 +650,7 @@ def _build_partition(
     # all classes empty: remove cycle plus anticomplete side, three-set prefix
     if ymask == 0:
         prefix = (mask_of((c[0], c[1], c[2])), 1 << c[3], 1 << c[4])
-        return Completed(_reduce(g, prefix, cmask | iso, chi, ctx, depth, "y_empty", c5=list(c)))
+        return Completed(_reduce(g, prefix, cmask | iso, need, ctx, depth, "y_empty", c5=list(c)))
 
     # a singleton class, or an empty class right after a non-empty one
     for a in range(5):
@@ -662,7 +677,7 @@ def _build_partition(
             continue
         return Completed(
             _reduce(
-                g, prefix, cmask | iso | (1 << yv), chi, ctx, depth, "y_small",
+                g, prefix, cmask | iso | (1 << yv), need, ctx, depth, "y_small",
                 variant=variant, c5=list(c), klass=a,
             )
         )
@@ -747,7 +762,7 @@ def _build_partition(
         )
         return Completed(
             _reduce(
-                g, prefix, removed, chi, ctx, depth, "independent_side_edge", c5=list(c), u=u, v=v, klass=i
+                g, prefix, removed, need, ctx, depth, "independent_side_edge", c5=list(c), u=u, v=v, klass=i
             )
         )
 
@@ -771,7 +786,7 @@ def _build_partition(
                 smask = mask_of((c[a], cnb, cfar, yv, ynb, yfar))
                 return Completed(
                     _reduce(
-                        g, prefix, smask | iso, chi, ctx, depth, "y_complete_neighbor",
+                        g, prefix, smask | iso, need, ctx, depth, "y_complete_neighbor",
                         c5=list(c), klass=a, direction=direction, vertex=yv,
                     )
                 )
@@ -844,7 +859,7 @@ def _unique_nonneighbor(g: Graph, v: int, klass: int, depth: int) -> int:
 
 
 def _final_construction(
-    g: Graph, part: C5Partition, chi: int, ctx: _Ctx, depth: int
+    g: Graph, part: C5Partition, need: int, ctx: _Ctx, depth: int
 ) -> MinorModel:
     c = part.cycle
     y = part.classes
@@ -905,7 +920,7 @@ def _final_construction(
     )
     _require_dominated(g, keep, d, "every kept vertex must have a neighbor in each prefix set", depth)
     return _reduce(
-        g, tuple(d), rmask | part.independent, chi, ctx, depth, "final_construction",
+        g, tuple(d), rmask | part.independent, need, ctx, depth, "final_construction",
         m=m, parity="even" if r == 0 else "odd", c5=list(c),
     )
 
@@ -955,28 +970,28 @@ def _scan_c5s(
     return first, (best[1], best[2])
 
 
-def _extract(g: Graph, ctx: _Ctx, depth: int) -> tuple[int, MinorModel]:
+def _extract(g: Graph, ctx: _Ctx, depth: int, need: int) -> MinorModel:
+    """``need`` sets of a model of ``g``, for any need <= chi(g) (see :func:`_reduce`)."""
     if g.n == 0:
         ctx.record(depth, "empty")
-        return 0, ()
-    chi, _ = chromatic_number(g)
-    return chi, _finish(g, chi, ctx.branch(g, chi, ctx, depth), ctx, depth)
+        return ()
+    return _finish(g, need, ctx.branch(g, need, ctx, depth), ctx, depth)
 
 
-def _branch(g: Graph, chi: int, ctx: _Ctx, depth: int) -> MinorModel:
-    """The dominating case analysis on a non-empty graph; returns at least chi sets."""
+def _branch(g: Graph, need: int, ctx: _Ctx, depth: int) -> MinorModel:
+    """The dominating case analysis on a non-empty graph; returns at least ``need`` sets."""
     omega, cmask = clique_number(g)
-    if omega >= chi:
+    if omega >= need:
         # the two labels differ only in the trace, so untraced runs skip the searches
         split = ctx.trace is not None and find_induced_cycle(g, 4) is None and not has_induced_c5(g)
-        return _clique_model(chi, omega, cmask, ctx, depth, "split_graph" if split else "clique")
+        return _clique_model(need, omega, cmask, ctx, depth, "split_graph" if split else "clique")
 
     first_c5, low = _scan_c5s(g, ctx.config.c5_cap, depth)
 
     if first_c5 is None:
         b = find_banner(g)
         if b is not None:
-            out = _banner_step(g, b.vertices, chi, ctx, depth)
+            out = _banner_step(g, b.vertices, need, ctx, depth)
             if isinstance(out, Structure):
                 raise InternalContradictionError(
                     "the banner step cannot produce an apex pair in a C5-free host",
@@ -986,21 +1001,21 @@ def _branch(g: Graph, chi: int, ctx: _Ctx, depth: int) -> MinorModel:
             return out.model
         c4 = find_induced_cycle(g, 4)
         if c4 is not None:
-            return _c4_reduction(g, c4.vertices, chi, ctx, depth)
-        # {2K2, C4, C5}-free, hence split, so omega >= chi returned above
+            return _c4_reduction(g, c4.vertices, need, ctx, depth)
+        # {2K2, C4, C5}-free, hence split and perfect: omega = chi >= need returned above
         raise InternalContradictionError(
-            "split graphs are perfect, so the clique and chromatic numbers agree",
-            {"omega": omega, "chi": chi},
+            "split graphs are perfect, so the clique covers the budget of sets",
+            {"omega": omega, "need": need},
             depth,
         )
 
     if low is not None:
-        return _low_degree_c5(g, low[0], low[1], chi, ctx, depth)
+        return _low_degree_c5(g, low[0], low[1], need, ctx, depth)
 
-    out = _build_partition(g, first_c5, chi, ctx, depth)
+    out = _build_partition(g, first_c5, need, ctx, depth)
     if isinstance(out, Completed):
         return out.model
-    return _final_construction(g, out, chi, ctx, depth)
+    return _final_construction(g, out, need, ctx, depth)
 
 
 def _extract_verified(g: Graph, ctx: _Ctx, verify) -> MinorModel:
@@ -1009,7 +1024,8 @@ def _extract_verified(g: Graph, ctx: _Ctx, verify) -> MinorModel:
     w = find_2k2(g)
     if w is not None:
         raise Not2K2FreeError(w.vertices)
-    chi, model = _extract(g, ctx, 0)
+    chi, _ = chromatic_number(g)
+    model = _extract(g, ctx, 0, chi)
     report = verify(g, model)
     if len(model) != chi or not report.valid:
         raise InternalContradictionError(
@@ -1039,18 +1055,18 @@ def extract_dominating(
 # ordinary (non-dominating) extraction via induced-P4 removal
 # ---------------------------------------------------------------------------
 
-def _p4_branch(g: Graph, chi: int, ctx: _Ctx, depth: int) -> MinorModel:
+def _p4_branch(g: Graph, need: int, ctx: _Ctx, depth: int) -> MinorModel:
     """The ordinary case analysis: an induced P4 v1v2v3v4 goes with everything
     anticomplete to {v1, v2} or to {v3, v4} (a 2-chromatic chunk) and the two
     pairs go in front; P4-free graphs are perfect, so a maximum clique ends it."""
     p4 = find_induced(g, path_pattern(4))
     if p4 is None:
         omega, cmask = clique_number(g)
-        return _clique_model(chi, omega, cmask, ctx, depth, "clique")
+        return _clique_model(need, omega, cmask, ctx, depth, "clique")
     v1, v2, v3, v4 = p4.vertices
     d1, d2 = mask_of((v1, v2)), mask_of((v3, v4))
     removed = g.full_mask & ~_pair_kept(g, d1, d2)
-    return _reduce(g, (d1, d2), removed, chi, ctx, depth, "p4_removal", p4=list(p4.vertices))
+    return _reduce(g, (d1, d2), removed, need, ctx, depth, "p4_removal", p4=list(p4.vertices))
 
 
 def extract_ordinary_minor(g: Graph, trace: Trace | None = None) -> MinorModel:
@@ -1060,7 +1076,10 @@ def extract_ordinary_minor(g: Graph, trace: Trace | None = None) -> MinorModel:
     as its case analysis: each level removes an induced P4 together with
     everything anticomplete to one of its end pairs, prepending the two
     pairs; the P4-free base case is a maximum clique.  ``trace`` gets one
-    ``p4_removal`` event per level and a final ``clique`` or ``empty`` one.
+    event per level: ``p4_removal`` at every level but the last, and at the
+    last ``clique`` (``empty`` for the empty graph), or a ``p4_removal``
+    whose two pairs already cover the sets still owed; then every set of
+    the model is a pair from some level's prefix.
     The result passes the ordinary verifier but generally not the dominating
     one.
     """

@@ -377,8 +377,10 @@ class TestOrdinaryExtraction:
 class TestOrdinaryTrace:
     def test_one_p4_removal_per_level_then_the_base_case(self):
         # the ordinary extractor runs the shared recursion, so its trace has
-        # a p4_removal event at each depth 0..k-1 and a clique or empty one
-        # at depth k; the prefix of each step is its P4's two end pairs
+        # a p4_removal event at each depth 0..k-1 and one more at depth k:
+        # a clique or empty base case, or a p4_removal whose prefix already
+        # covers the sets still owed, so that every set of the model is a
+        # set of some step's prefix; that prefix is its P4's two end pairs
         data = Path(__file__).parent / "data"
         atlas = [parse_graph6(s) for n in range(8) for s in (data / f"graphs{n}.g6").read_text().split()]
         graphs = [g for g in atlas if is_2k2_free(g)] + [random_2k2_free(14, 0.3, seed) for seed in range(20)]
@@ -391,22 +393,31 @@ class TestOrdinaryTrace:
             k = len(events) - 1
             assert [e["depth"] for e in events] == list(range(k + 1))
             assert all(e["branch"] == "p4_removal" for e in events[:k])
-            assert events[k]["branch"] in ("clique", "empty")
             ends.add(events[k]["branch"])
+            if events[k]["branch"] == "p4_removal":
+                # each level's trace is in its subgraph's labels: map them back
+                verts, prefixes = list(range(g.n)), []
+                for e in events:
+                    prefixes += [sorted(verts[v] for v in t) for t in e["prefix"]]
+                    verts = [v for i, v in enumerate(verts) if i not in e["removed"]]
+                assert all(t in prefixes for t in model_to_lists(model))
+            else:
+                assert events[k]["branch"] in ("clique", "empty")
             for e in events[:k]:
                 assert set(e) == {"depth", "branch", "p4", "prefix", "removed"}
                 assert e["prefix"] == [sorted(e["p4"][:2]), sorted(e["p4"][2:])]
             if k:
                 assert model_to_lists(model)[:2] == events[0]["prefix"]
-        assert ends == {"clique", "empty"}
+        assert ends == {"clique", "empty", "p4_removal"}
 
 
 class TestPinnedExtraction:
     # md5 over "graph6 model trace" lines, with each trace event's keys
     # sorted, for the 3,161 2K2-free atlas graphs (n <= 8) and every crafted
     # host in helpers.py; together they reach all eight reduction branches.
-    # Pinned from the implementation that wrote each reduction step out in full.
-    DIGEST = "169f2197f579cad3dac732a329a7131f"
+    # Pinned from the budgeted recursion, which passes the root's chi down as
+    # the number of sets still owed and stops once a prefix covers it.
+    DIGEST = "61a040d95243093c2547dad52a69fcd6"
 
     def test_atlas_and_hosts_digest(self):
         data = Path(__file__).parent / "data"
@@ -434,8 +445,9 @@ class TestPinnedExtraction:
 class TestPinnedOrdinaryExtraction:
     # md5 over "graph6 model" lines of extract_ordinary_minor on the same
     # graphs as TestPinnedExtraction; every model depends on which induced P4
-    # find_induced returns. Pinned from the per-vertex backtracking matcher.
-    DIGEST = "4d53608a305d56a4e16f3644ed096633"
+    # find_induced returns. Pinned from the budgeted recursion, which passes
+    # the root's chi down as the number of sets still owed.
+    DIGEST = "08f4f6c1aa0df662d1bd723f6e2c9ae3"
 
     def test_atlas_and_hosts_digest(self):
         data = Path(__file__).parent / "data"
@@ -475,3 +487,63 @@ class TestSplitBaseCase:
             extract_dominating(g)
         assert len(free) == 3161
         assert calls == 3269
+
+
+def _free_atlas_and_hosts():
+    data = Path(__file__).parent / "data"
+    atlas = [parse_graph6(s) for n in range(9) for s in (data / f"graphs{n}.g6").read_text().split()]
+    hosts = [
+        wheel5(), singleton_class_host(), forced_k4_host(), c5_blowup(2), c5_blowup(3),
+        final_host(2), final_host(3), complete_neighbor_host(), pendant_class_host(), pentagon(),
+    ]
+    return [g for g in atlas if is_2k2_free(g)] + hosts
+
+
+def _c1_graph(i):
+    # graph i of the acceptance suite's criterion 1 corpus
+    return random_2k2_free(5 + i % 26, (0.08, 0.15, 0.25, 0.4, 0.6, 0.8)[i % 6], i)
+
+
+class TestBudget:
+    def test_every_budget_up_to_chi(self):
+        # the recursion owes `need` sets and is sound for any need <= chi:
+        # each step removes U with chi(G[U]) <= len(prefix), so the residual
+        # budget never exceeds the residual chromatic number
+        import domminor.extraction as ex
+
+        graphs = _free_atlas_and_hosts() + [
+            random_2k2_free(5 + i % 26, (0.15, 0.25, 0.4, 0.6)[i % 4], 7_000 + i) for i in range(360)
+        ]
+        budgets = 0
+        for g in graphs:
+            chi, _ = chromatic_number(g)
+            for branch, verify in ((ex._branch, verify_dominating_model), (ex._p4_branch, verify_ordinary_model)):
+                for b in range(chi + 1):
+                    model = ex._extract(g, ex._Ctx(None, None, branch), 0, b)
+                    assert len(model) == b
+                    report = verify(g, model)
+                    assert report.valid, (emit_graph6(g), branch.__name__, b, report.message)
+                    budgets += 1
+        assert budgets > 15_000
+
+
+class TestOneChromaticNumber:
+    def test_one_call_per_extraction(self, monkeypatch):
+        # chi is computed once, at the root, and passed down as the budget;
+        # the recursion computed it again on every residual graph
+        import domminor.extraction as ex
+
+        calls = 0
+        fresh = ex.chromatic_number
+
+        def counted(g, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return fresh(g, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "chromatic_number", counted)
+        for g in _free_atlas_and_hosts()[:3161] + [_c1_graph(i) for i in range(156)]:
+            for extract in (extract_dominating, extract_ordinary_minor):
+                before = calls
+                extract(g)
+                assert calls == before + 1, (emit_graph6(g), extract.__name__, calls - before)
