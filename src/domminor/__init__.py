@@ -17,7 +17,6 @@ from .exact import (
     verify_ordinary_model,
 )
 from .extraction import (
-    ExtractionConfig,
     Not2K2FreeError,
     Trace,
     extract_dominating,
@@ -48,7 +47,6 @@ __all__ = [
     "is_split_graph",
     "extract_dominating",
     "extract_ordinary_minor",
-    "ExtractionConfig",
     "Trace",
     "Not2K2FreeError",
 ]

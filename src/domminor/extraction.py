@@ -1,5 +1,7 @@
 """Constructive extraction of dominating clique minors from 2K2-free graphs.
 
+The module has two entry points, ``extract_dominating(g, trace=None)`` and
+``extract_ordinary_minor(g, trace=None)``; the steps below are private.
 Given a 2K2-free graph G, :func:`extract_dominating` returns a verified
 dominating minor model with exactly chi(G) branch sets.  The algorithm is a
 recursive case analysis; every reduction branch (one helper, ``_reduce``)
@@ -44,6 +46,8 @@ the lift re-checks domination of every kept branch set by every prepended
 set, and the final model always passes the exact verifier.  Structural facts
 the analysis forces (e.g. the K4 in the low-degree branch) are asserted; a
 violation raises :class:`InternalContradictionError`, never a wrong model.
+A graph with more than ``DEFAULT_C5_CAP`` induced C5s raises
+:class:`EnumerationCapError`.
 """
 
 from __future__ import annotations
@@ -115,17 +119,11 @@ class InternalContradictionError(ExtractionError):
 
 
 class EnumerationCapError(ExtractionError):
-    """The induced-C5 enumeration exceeded the configured embedding cap."""
+    """The induced-C5 enumeration exceeded ``DEFAULT_C5_CAP`` embeddings."""
 
 
 class LiftError(ExtractionError):
     """Quota or domination failure while stitching a recursion result."""
-
-
-@dataclass
-class ExtractionConfig:
-    verify_steps: bool = False  # re-verify every intermediate model (debug)
-    c5_cap: int = DEFAULT_C5_CAP
 
 
 @dataclass
@@ -186,13 +184,13 @@ class C5Partition:
 
 
 class _Ctx:
-    """One extraction run: its settings, its trace and its case analysis
-    (``branch(g, need, ctx, depth)``, the dominating one unless given)."""
+    """One extraction run: its trace and its case analysis
+    (``branch(g, need, ctx, depth)``), the dominating one unless
+    :func:`extract_ordinary_minor` passes ``_p4_branch``."""
 
-    __slots__ = ("config", "trace", "branch")
+    __slots__ = ("trace", "branch")
 
-    def __init__(self, config: ExtractionConfig | None, trace: Trace | None, branch=None):
-        self.config = config or ExtractionConfig()
+    def __init__(self, trace: Trace | None = None, branch=None):
         self.trace = trace
         self.branch = branch or _branch
 
@@ -287,23 +285,18 @@ def _require_dominated(g: Graph, keep: int, prefix: MinorModel, invariant: str, 
         raise InternalContradictionError(invariant, {"vertex": v, "set": set_to_list(t)}, depth)
 
 
-def _finish(g: Graph, need: int, model: MinorModel, ctx: _Ctx, depth: int) -> MinorModel:
+def _finish(need: int, model: MinorModel, depth: int) -> MinorModel:
     """Trim a possibly oversized model to its last ``need`` sets, the number
-    the caller still owes (chi at the root), and optionally verify."""
+    the caller still owes (chi at the root).  Levels are not re-verified one
+    by one: :func:`lift_model` re-checks each level's domination, and the
+    root's verifier checks the whole model."""
     if len(model) < need:
         raise InternalContradictionError(
             "model smaller than its budget of sets",
             {"need": need, "got": len(model)},
             depth,
         )
-    model = model[len(model) - need:]
-    if ctx.config.verify_steps:
-        report = verify_dominating_model(g, model)
-        if not report.valid:
-            raise InternalContradictionError(
-                "intermediate model failed verification", {"report": report.message}, depth
-            )
-    return model
+    return model[len(model) - need:]
 
 
 def _require(ok: bool, invariant: str, context: dict, depth: int) -> None:
@@ -364,21 +357,6 @@ def _banner_step(
     return Structure(b4=b4, b5=b5)
 
 
-def banner_step(
-    g: Graph,
-    banner: Embedding,
-    chi: int | None = None,
-    config: ExtractionConfig | None = None,
-    trace: Trace | None = None,
-) -> BannerOutcome:
-    """Public banner step on an induced banner embedding (roles b1,b2,b3,b,bp)."""
-    if not verify_embedding(g, banner_pattern(), banner):
-        raise ValueError("embedding is not an induced banner of the host")
-    if chi is None:
-        chi, _ = chromatic_number(g)
-    return _banner_step(g, banner.vertices, chi, _Ctx(config, trace), 0)
-
-
 # ---------------------------------------------------------------------------
 # C4 reduction (C5-free, banner-free hosts)
 # ---------------------------------------------------------------------------
@@ -410,22 +388,6 @@ def _c4_reduction(
     )
 
 
-def c4_reduction_step(
-    g: Graph,
-    c4: Embedding,
-    config: ExtractionConfig | None = None,
-    trace: Trace | None = None,
-) -> MinorModel:
-    """Public C4 reduction; host must be 2K2-free, C5-free and banner-free."""
-    from .patterns import cycle_pattern
-
-    if not verify_embedding(g, cycle_pattern(4), c4):
-        raise ValueError("embedding is not an induced 4-cycle of the host")
-    chi, _ = chromatic_number(g)
-    ctx = _Ctx(config, trace)
-    return _finish(g, chi, _c4_reduction(g, c4.vertices, chi, ctx, 0), ctx, 0)
-
-
 # ---------------------------------------------------------------------------
 # clique base case
 # ---------------------------------------------------------------------------
@@ -446,19 +408,6 @@ def _clique_model(need: int, omega: int, cmask: int, ctx: _Ctx, depth: int, bran
     if ctx.trace is not None:
         ctx.trace.record(depth, branch, clique=set_to_list(cmask))
     return tuple(1 << v for v in bits(cmask))
-
-
-def split_graph_model(
-    g: Graph, config: ExtractionConfig | None = None, trace: Trace | None = None
-) -> MinorModel:
-    """Maximum clique as singleton branch sets; valid for any split graph."""
-    from .patterns import is_split_graph
-
-    if not is_split_graph(g):
-        raise ValueError("split_graph_model requires a split graph")
-    chi, _ = chromatic_number(g)
-    omega, cmask = clique_number(g)
-    return _clique_model(chi, omega, cmask, _Ctx(config, trace), 0, "split_graph")
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +513,6 @@ def _low_degree_c5(
     return _reduce(
         g, d, iso | cmask | smask | sieved, need, ctx, depth, "low_degree_k4", c5=list(c), x=x, quad=list(quad)
     )
-
-
-def low_degree_c5_step(
-    g: Graph,
-    c5: tuple[int, ...],
-    x: int,
-    config: ExtractionConfig | None = None,
-    trace: Trace | None = None,
-) -> MinorModel:
-    """Public low-degree branch; (c5, x) should globally minimize the cycle degree."""
-    chi, _ = chromatic_number(g)
-    ctx = _Ctx(config, trace)
-    return _finish(g, chi, _low_degree_c5(g, tuple(c5), x, chi, ctx, 0), ctx, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -828,21 +764,6 @@ def _build_partition(
     return C5Partition(c, iso, j, tuple(y), m)
 
 
-def build_c5_partition(
-    g: Graph,
-    c5: tuple[int, ...],
-    config: ExtractionConfig | None = None,
-    trace: Trace | None = None,
-) -> MinorModel | C5Partition:
-    """Public partition builder; returns a finished model if a side branch fires."""
-    chi, _ = chromatic_number(g)
-    ctx = _Ctx(config, trace)
-    out = _build_partition(g, tuple(c5), chi, ctx, 0)
-    if isinstance(out, Completed):
-        return _finish(g, chi, out.model, ctx, 0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # final (2m+2)-set construction
 # ---------------------------------------------------------------------------
@@ -925,27 +846,15 @@ def _final_construction(
     )
 
 
-def final_construction(
-    g: Graph,
-    part: C5Partition,
-    config: ExtractionConfig | None = None,
-    trace: Trace | None = None,
-) -> MinorModel:
-    if part.m < 2:
-        raise ValueError("final_construction requires class size m >= 2")
-    chi, _ = chromatic_number(g)
-    ctx = _Ctx(config, trace)
-    return _finish(g, chi, _final_construction(g, part, chi, ctx, 0), ctx, 0)
-
-
 # ---------------------------------------------------------------------------
 # dispatcher
 # ---------------------------------------------------------------------------
 
-def _scan_c5s(
-    g: Graph, cap: int, depth: int
-) -> tuple[tuple[int, ...] | None, tuple[tuple[int, ...], int] | None]:
-    """First induced C5 plus the globally minimal low-degree (cycle, vertex) pair."""
+def _scan_c5s(g: Graph) -> tuple[tuple[int, ...] | None, tuple[tuple[int, ...], int] | None]:
+    """First induced C5 plus the globally minimal low-degree (cycle, vertex)
+    pair; more than ``DEFAULT_C5_CAP`` induced C5s raise
+    :class:`EnumerationCapError`."""
+    cap = DEFAULT_C5_CAP
     first = None
     best = None
     full = g.full_mask
@@ -954,7 +863,7 @@ def _scan_c5s(
         count += 1
         if count > cap:
             raise EnumerationCapError(
-                f"more than {cap} induced C5 embeddings; raise ExtractionConfig.c5_cap"
+                f"more than {cap} induced C5 embeddings (extraction.DEFAULT_C5_CAP)"
             )
         if first is None:
             first = tup
@@ -975,7 +884,7 @@ def _extract(g: Graph, ctx: _Ctx, depth: int, need: int) -> MinorModel:
     if g.n == 0:
         ctx.record(depth, "empty")
         return ()
-    return _finish(g, need, ctx.branch(g, need, ctx, depth), ctx, depth)
+    return _finish(need, ctx.branch(g, need, ctx, depth), depth)
 
 
 def _branch(g: Graph, need: int, ctx: _Ctx, depth: int) -> MinorModel:
@@ -986,7 +895,7 @@ def _branch(g: Graph, need: int, ctx: _Ctx, depth: int) -> MinorModel:
         split = ctx.trace is not None and find_induced_cycle(g, 4) is None and not has_induced_c5(g)
         return _clique_model(need, omega, cmask, ctx, depth, "split_graph" if split else "clique")
 
-    first_c5, low = _scan_c5s(g, ctx.config.c5_cap, depth)
+    first_c5, low = _scan_c5s(g)
 
     if first_c5 is None:
         b = find_banner(g)
@@ -1036,11 +945,7 @@ def _extract_verified(g: Graph, ctx: _Ctx, verify) -> MinorModel:
     return model
 
 
-def extract_dominating(
-    g: Graph,
-    config: ExtractionConfig | None = None,
-    trace: Trace | None = None,
-) -> MinorModel:
+def extract_dominating(g: Graph, trace: Trace | None = None) -> MinorModel:
     """A verified dominating minor model with exactly chi(g) branch sets.
 
     Raises :class:`Not2K2FreeError` (with witness) if the input is not
@@ -1048,7 +953,7 @@ def extract_dominating(
     the analysis relies on fails, rather than ever returning an unverified
     model.
     """
-    return _extract_verified(g, _Ctx(config, trace), verify_dominating_model)
+    return _extract_verified(g, _Ctx(trace), verify_dominating_model)
 
 
 # ---------------------------------------------------------------------------
@@ -1083,4 +988,4 @@ def extract_ordinary_minor(g: Graph, trace: Trace | None = None) -> MinorModel:
     The result passes the ordinary verifier but generally not the dominating
     one.
     """
-    return _extract_verified(g, _Ctx(None, trace, _p4_branch), verify_ordinary_model)
+    return _extract_verified(g, _Ctx(trace, _p4_branch), verify_ordinary_model)

@@ -3,11 +3,14 @@
 Each builder returns a 2K2-free graph with chi > omega routed to one deep
 branch of the extractor; the routing facts are asserted in test_extraction
 and reused by the acceptance suite's branch-coverage check.
+``perturbed_host`` turns them into a seeded corpus around those branches.
 """
 
 import itertools
 
-from domminor.graphs import Graph, from_edge_list
+from domminor.generators import SplitMix64, complete_multipartite, cycle, random_2k2_free
+from domminor.graphs import Graph, complement, from_edge_list
+from domminor.patterns import is_2k2_free
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -92,3 +95,36 @@ def pendant_class_host() -> Graph:
     base = c5_blowup(2, extra=((5, 7), (5, 13)))
     edges = list(base.edges()) + [(base.n, 5)]
     return from_edge_list(base.n + 1, edges)
+
+
+def perturbed_host(seed: int) -> Graph:
+    """A crafted host with 1-8 random vertex-pair flips, each kept only if
+    the graph stays 2K2-free; half the time joined with a small random
+    2K2-free graph (a join of 2K2-free graphs is 2K2-free).
+
+    Random 2K2-free graphs almost never reach the C5-partition branches;
+    these graphs reach each of them on a sizeable share of seeds.  The
+    stream is ``SplitMix64(seed)``, so a seed always gives the same graph.
+    """
+    rng = SplitMix64(seed)
+    hosts = (
+        lambda: c5_blowup(2), lambda: c5_blowup(3), lambda: c5_blowup(4),
+        lambda: final_host(2), lambda: final_host(3), complete_neighbor_host,
+        singleton_class_host, forced_k4_host, pendant_class_host,
+        lambda: complete_multipartite([2, 2, 2, 2]), lambda: complement(cycle(7)),
+    )
+    g = hosts[rng.below(len(hosts))]()
+    adj = list(g.adj)
+    for _ in range(1 + rng.below(8)):
+        u, v = rng.below(g.n), rng.below(g.n)
+        if u == v:
+            continue
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        if not is_2k2_free(Graph(g.n, tuple(adj))):
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+    g = Graph(g.n, tuple(adj))
+    if rng.below(2):
+        g = join(g, random_2k2_free(1 + rng.below(6), (0.2, 0.4, 0.6)[rng.below(3)], rng.next_u64()))
+    return g
