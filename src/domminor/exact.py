@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graphs import Graph, _reach, bits, graph_memo, is_connected_set, mask_of, neighbors_of_set, set_to_list
 
@@ -166,6 +166,26 @@ def _edge_count(adj: tuple[int, ...], m: int) -> int:
         m ^= low
         edges += (adj[low.bit_length() - 1] & m).bit_count()
     return edges
+
+
+def _core_excess(adj: tuple[int, ...], w: int) -> int:
+    """e(C) - |C| for the 2-core C of the subgraph induced by ``w``, 0 if C
+    is empty: the largest e(X) - |X| over the vertex sets X inside ``w``
+    (see :func:`has_dominating_kt`).
+
+    The peel deletes vertices of degree at most 1 in ascending order, and
+    visits again the one neighbour of each vertex it deletes, whose degree
+    fell.
+    """
+    m = w
+    while m:
+        low = m & -m
+        m ^= low
+        nb = adj[low.bit_length() - 1] & w
+        if nb & (nb - 1) == 0:
+            w ^= low
+            m |= nb
+    return _edge_count(adj, w) - w.bit_count()
 
 
 @graph_memo
@@ -361,7 +381,8 @@ def is_proper_coloring(g: Graph, colors: tuple[int, ...], k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _connected_sets_with_neighbors(
-    g: Graph, within: int, max_size: int, root: int | None = None
+    g: Graph, within: int, max_size: int, root: int | None = None,
+    grows: Callable[[int], bool] | None = None,
 ) -> Iterator[tuple[int, int]]:
     """``(S, N(S))`` for every connected subset S of ``within`` with at most
     ``max_size`` vertices, where N(S) is the OR of ``adj[v]`` over S.
@@ -377,6 +398,11 @@ def _connected_sets_with_neighbors(
     Given ``root``, a one-vertex mask inside ``within``, only the sets that
     contain it are walked: each size runs just the first iteration of its
     loop over roots, with ``root`` in place of the least vertex.
+
+    Given ``grows``, a test on a set, a root or internal frame S is grown
+    only if ``grows(S)`` is true; S itself is still yielded, and leaves are
+    not tested.  Every set walked below S contains S, so a test that fails
+    for S and all its supersets skips only unwanted sets.
     """
     adj = g.adj
     for size in range(1, max_size + 1):
@@ -390,7 +416,9 @@ def _connected_sets_with_neighbors(
             if size == 1:
                 yield s0, nb0
                 continue
-            stack = [(s0, nb0, 1, nb0 & allowed, 0)] if nb0 & allowed else []
+            if not nb0 & allowed or grows is not None and not grows(s0):
+                continue
+            stack = [(s0, nb0, 1, nb0 & allowed, 0)]
             while stack:
                 s, nb, count, fr, banned = stack.pop()
                 if count + 1 == size:
@@ -407,7 +435,7 @@ def _connected_sets_with_neighbors(
                 v = low.bit_length() - 1
                 s |= low
                 child = (fr | (adj[v] & allowed)) & ~s & ~banned
-                if child:
+                if child and (grows is None or grows(s)):
                     stack.append((s, nb | adj[v], count + 1, child, banned | low))
 
 
@@ -456,6 +484,35 @@ def _largest_set(adj: tuple[int, ...], m: int, rest: int) -> int:
     return limit
 
 
+def _growth_test(g: Graph, need: int) -> Callable[[int], bool]:
+    """A test of a connected or empty vertex set S: false only when every R
+    outside S has e(R) - |R| < ``need``, which then holds for every
+    superset of S too.  It remembers the sets it has tested.
+
+    The 2-core is peeled only when a cheaper bound falls short of ``need``:
+    e(V - S) - |V - S| is at least e - n - 1 minus the sum of deg(v) - 2
+    over S, since a connected S has at least |S| - 1 edges of its own.
+    """
+    grown: dict[int, bool] = {}
+    spent = [row.bit_count() - 2 for row in g.adj]
+    slack = sum(spent) // 2 - 1 - need
+    full = g.full_mask
+
+    def grows(s: int) -> bool:
+        hit = grown.get(s)
+        if hit is None:
+            cost = 0
+            m = s
+            while m:
+                low = m & -m
+                m ^= low
+                cost += spent[low.bit_length() - 1]
+            hit = grown[s] = cost <= slack or _core_excess(g.adj, full & ~s) >= need
+        return hit
+
+    return grows
+
+
 def has_dominating_kt(
     g: Graph,
     t: int,
@@ -489,6 +546,19 @@ def has_dominating_kt(
     and pairwise adjacent, so they need |R| - r edges inside them and one
     edge between each pair.  At both levels, the size of the set walked is
     capped by the singleton-clique bound of :func:`_largest_set`.
+
+    The T_1 walk is cut by the same edge bound.  With r = t - 1 >= 4, a mask
+    R that splits has e(R) - |R| >= need = r(r - 3)/2.  Every T_1 walked
+    below a set S contains S, so its R lies inside W = V - S.  The largest
+    e(X) - |X| over X inside W is e(C) - |C| for the 2-core C of G[W], or 0
+    if C is empty (:func:`_core_excess`).  Deleting a vertex of degree at
+    most 1 never lowers e(X) - |X|, so X loses nothing when peeled to its
+    own 2-core, which lies inside C.  And for Y inside a set Z of minimum
+    degree 2 or more, the edges meeting Z - Y number at least half their
+    degree sum, so at least |Z - Y|: e(Y) - |Y| <= e(Z) - |Z|.  So once the
+    2-core excess of G - S falls below need, no set below S passes, and the
+    walker does not grow S (:func:`_growth_test`); the test refutes at S
+    empty before any walk.  For r <= 3, need <= 0 and the test is off.
 
     Dead states are memoised: ``dead[R]`` is the smallest r for which R is
     proven not to split (0: unknown), and a mask that fails the cuts is
@@ -551,9 +621,17 @@ def has_dominating_kt(
         return False
 
     rest = t - 1
+    full = g.full_mask
+    grows = None
+    if rest >= 4:
+        grows = _growth_test(g, rest * (rest - 3) // 2)
+        if not grows(0):
+            return None
     model = None
     try:
-        for s, nb in _connected_sets_with_neighbors(g, g.full_mask, _largest_set(adj, g.full_mask, rest)):
+        for s, nb in _connected_sets_with_neighbors(
+            g, full, _largest_set(adj, full, rest), None, grows
+        ):
             deadline.tick()
             r_mask = nb & ~s
             if splits(r_mask, rest):

@@ -729,7 +729,7 @@ class TestDeadStateMemo:
                     if r:
                         assert not self.brute_splits(g, m, r), (line, m, r)
                         entries += 1
-        assert entries == 23_566
+        assert entries == 19_993  # 23,566 before the T_1 walk's excess cut
 
     def test_invalid_model_raises_without_assert(self, monkeypatch):
         # the model check must hold under ``python -O`` too, so it may not be an assert
@@ -864,6 +864,51 @@ class TestEdgeBound:
     def test_ordinary_deadline_fires(self):
         with pytest.raises(SearchDeadlineExceeded):
             has_kt_minor(one_subdivision_complete(5), 6, deadline_s=1e-4)
+
+
+class TestExcessCut:
+    # a mask R that splits into r >= 4 sets has e(R) - |R| >= r(r - 3)/2, and
+    # the largest e(X) - |X| over the sets X inside W is the 2-core excess
+    # of G[W], so the T_1 walk does not grow a set S once G - S falls short
+
+    @staticmethod
+    def brute_excess(g: Graph) -> list[int]:
+        """max(e(X) - |X|) over every X inside W, for every W, from the
+        induced subgraphs."""
+        best = [induced_subgraph(g, x)[0].edge_count() - x.bit_count() for x in range(1 << g.n)]
+        for v in range(g.n):
+            for w in range(1 << g.n):
+                if w >> v & 1:
+                    best[w] = max(best[w], best[w ^ 1 << v])
+        return best
+
+    def test_core_excess_matches_brute_force_on_atlas(self):
+        count = 0
+        for n in range(7):
+            for line in (DATA / f"graphs{n}.g6").read_text().split():
+                g = parse_graph6(line)
+                for w, best in enumerate(self.brute_excess(g)):
+                    assert exact_mod._core_excess(g.adj, w) == best, (line, w)
+                    count += 1
+        assert count == 11_291
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10), st.floats(0.05, 0.7), st.integers(0, 10**6))
+    def test_core_excess_matches_brute_force_on_gnp(self, n, p, seed):
+        g = random_gnp(n, p, seed)
+        best = self.brute_excess(g)
+        assert [exact_mod._core_excess(g.adj, w) for w in range(1 << n)] == best
+
+    def test_t1_walk_stays_cut(self, monkeypatch):
+        yields = TestEdgeBound.count_walk(monkeypatch)
+        assert has_dominating_kt(random_gnp(16, 0.25, 3), 6) is None
+        assert yields[0] <= 1_000  # 14,645 without the cut
+
+    def test_refutes_before_any_walk(self, monkeypatch):
+        # a path has no cycle, so its 2-core is empty and no R reaches 2
+        yields = TestEdgeBound.count_walk(monkeypatch)
+        assert has_dominating_kt(path(12), 5) is None
+        assert yields[0] == 0
 
 
 class TestNoReferenceCycles:
