@@ -3,7 +3,10 @@
 Every subcommand writes a single JSON object to standard output (``--plain``
 switches to terse human-readable text), with a top-level ``schema`` field.
 Exit codes: 0 success, 1 operational error (parse failure, capacity,
-precondition violation), 2 negative verification verdict or counterexample.
+precondition violation) or a hunt record with verdict ``internal-error``
+(a record whose own evidence contradicts it, such as a chi that a
+(chi-1)-colouring refutes), 2 negative verification verdict or
+counterexample.
 """
 
 from __future__ import annotations

@@ -32,7 +32,8 @@ class SearchDeadlineExceeded(Exception):
 
 
 class Deadline:
-    """Cheap cooperative deadline checked every few thousand search steps."""
+    """Cheap cooperative deadline: ``tick`` reads the clock once every 256
+    ticks."""
 
     __slots__ = ("at", "counter")
 
@@ -387,56 +388,64 @@ def _connected_sets_with_neighbors(
     """``(S, N(S))`` for every connected subset S of ``within`` with at most
     ``max_size`` vertices, where N(S) is the OR of ``adj[v]`` over S.
 
-    Each size is walked on its own, lazily, by min-rooted growth with an
-    explicit stack: a frame is ``(S, N(S), |S|, frontier, banned)``, the
-    frontier holds the vertices still to try in ascending order and
-    ``banned`` the siblings already tried, so no set is reached twice.  A
-    child's N is its parent's N OR ``adj[v]``.  The sets come in the order
-    ``enumerate_connected_sets`` documents; ``within`` must lie inside the
-    vertex set.
+    The walk is min-rooted growth, one size at a time, and each set is
+    expanded once.  The frames of one size are kept in a list, in walk
+    order; a frame is ``(S, N(S), frontier, keep)``.  The frontier holds the
+    vertices S may still take.  ``keep`` holds the vertices the sets below S
+    may take: those of ``within`` outside S, minus the earlier roots and the
+    siblings tried before, so no set is reached twice.  A frame yields its
+    children in ascending order, and a child's N is its parent's N OR
+    ``adj[v]``.  Meanwhile the children below ``max_size`` with a non-empty
+    frontier are collected, in order, as the frames of the next size.
+
+    The sets come in the order ``enumerate_connected_sets`` documents, that
+    of a depth-first walk of each size from scratch: in an ordered tree,
+    depth-first pre-order restricted to one depth is the level order with
+    ordered children.  ``within`` must lie inside the vertex set.
 
     Given ``root``, a one-vertex mask inside ``within``, only the sets that
-    contain it are walked: each size runs just the first iteration of its
-    loop over roots, with ``root`` in place of the least vertex.
+    contain it are walked: the first size holds ``root`` alone, in place of
+    every vertex of ``within`` as the least vertex of its sets.
 
-    Given ``grows``, a test on a set, a root or internal frame S is grown
-    only if ``grows(S)`` is true; S itself is still yielded, and leaves are
-    not tested.  Every set walked below S contains S, so a test that fails
-    for S and all its supersets skips only unwanted sets.
+    Given ``grows``, a test on a set, a frame's S is grown only if
+    ``grows(S)`` is true, tested just before its children would come, so at
+    most once per walk; S itself is still yielded, and sets of ``max_size``
+    vertices or with an empty frontier are not tested.  Every set walked
+    below S contains S, so a test that fails for S and all its supersets
+    skips only unwanted sets.
     """
+    if max_size < 1:
+        return
     adj = g.adj
-    for size in range(1, max_size + 1):
-        allowed = within
-        roots = within if root is None else root
-        while roots:
-            s0 = roots & -roots
-            roots ^= s0
-            allowed &= ~s0  # unrooted, the root is the set's least vertex
-            nb0 = adj[s0.bit_length() - 1]
-            if size == 1:
-                yield s0, nb0
+    level = []
+    keep = within
+    roots = within if root is None else root
+    while roots:
+        s0 = roots & -roots
+        roots ^= s0
+        keep &= ~s0  # unrooted, the root is the set's least vertex
+        nb0 = adj[s0.bit_length() - 1]
+        yield s0, nb0
+        if max_size > 1 and nb0 & keep:
+            level.append((s0, nb0, nb0 & keep, keep))
+    for size in range(2, max_size + 1):
+        frames, level = level, []
+        last = size == max_size
+        for s, nb, fr, keep in frames:
+            if grows is not None and not grows(s):
                 continue
-            if not nb0 & allowed or grows is not None and not grows(s0):
-                continue
-            stack = [(s0, nb0, 1, nb0 & allowed, 0)]
-            while stack:
-                s, nb, count, fr, banned = stack.pop()
-                if count + 1 == size:
-                    # the children are leaves: emit them in order, no frames
-                    while fr:
-                        low = fr & -fr
-                        fr ^= low
-                        yield s | low, nb | adj[low.bit_length() - 1]
-                    continue
+            while fr:
                 low = fr & -fr
                 fr ^= low
-                if fr:
-                    stack.append((s, nb, count, fr, banned | low))
-                v = low.bit_length() - 1
-                s |= low
-                child = (fr | (adj[v] & allowed)) & ~s & ~banned
-                if child and (grows is None or grows(s)):
-                    stack.append((s, nb | adj[v], count + 1, child, banned | low))
+                keep ^= low
+                child = s | low
+                row = adj[low.bit_length() - 1]
+                child_nb = nb | row
+                yield child, child_nb
+                if not last:
+                    front = (fr | row) & keep
+                    if front:
+                        level.append((child, child_nb, front, keep))
 
 
 def enumerate_connected_sets(g: Graph, within: int | None = None, max_size: int | None = None) -> Iterator[int]:
@@ -487,28 +496,24 @@ def _largest_set(adj: tuple[int, ...], m: int, rest: int) -> int:
 def _growth_test(g: Graph, need: int) -> Callable[[int], bool]:
     """A test of a connected or empty vertex set S: false only when every R
     outside S has e(R) - |R| < ``need``, which then holds for every
-    superset of S too.  It remembers the sets it has tested.
+    superset of S too.
 
     The 2-core is peeled only when a cheaper bound falls short of ``need``:
     e(V - S) - |V - S| is at least e - n - 1 minus the sum of deg(v) - 2
     over S, since a connected S has at least |S| - 1 edges of its own.
     """
-    grown: dict[int, bool] = {}
     spent = [row.bit_count() - 2 for row in g.adj]
     slack = sum(spent) // 2 - 1 - need
     full = g.full_mask
 
     def grows(s: int) -> bool:
-        hit = grown.get(s)
-        if hit is None:
-            cost = 0
-            m = s
-            while m:
-                low = m & -m
-                m ^= low
-                cost += spent[low.bit_length() - 1]
-            hit = grown[s] = cost <= slack or _core_excess(g.adj, full & ~s) >= need
-        return hit
+        cost = 0
+        m = s
+        while m:
+            low = m & -m
+            m ^= low
+            cost += spent[low.bit_length() - 1]
+        return cost <= slack or _core_excess(g.adj, full & ~s) >= need
 
     return grows
 

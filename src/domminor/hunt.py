@@ -41,7 +41,9 @@ once per graph.  The checks:
 * ``dominating-hadwiger``: compute chi, then search exhaustively for a
   dominating K_chi minor; absence is a conjecture counterexample and carries
   a machine-checkable certificate pair (a proper chi-coloring plus the
-  exhausted (chi-1)-coloring and minor searches).
+  exhausted (chi-1)-coloring and minor searches).  If the (chi-1)-coloring
+  search succeeds instead, chi was wrong and the record is an
+  ``internal-error``, never a counterexample.
 * ``extraction``: on 2K2-free graphs, run the constructive extractor and
   verify its model (skipped otherwise).
 * ``ordinary-minor``: on 2K2-free graphs, run the ordinary-minor extractor
@@ -89,7 +91,7 @@ from .patterns import find_2k2
 
 KNOWN_FILTERS = ("2k2-free",)
 
-VERDICTS = ("holds", "counterexample", "skipped-filter", "timeout", "capacity", "parse-error")
+VERDICTS = ("holds", "counterexample", "internal-error", "skipped-filter", "timeout", "capacity", "parse-error")
 
 # Graph lines per chunk sent to a worker: one round trip and one checkpoint
 # write per chunk.  An interrupt loses at most 2 x workers chunks of work.
@@ -170,10 +172,19 @@ def _dominating_hadwiger(g: Graph, cap: int, budget: float | None) -> tuple[str,
     # exhausted searches show chi-1 colors and a dominating K_chi are
     # both impossible
     lower = _k_colorable(g, chi - 1, Deadline(budget)) if chi > 1 else None
+    if lower is not None:
+        # chi - 1 colours suffice, so chi was wrong: the record would refute
+        # its own certificate
+        return "inconsistent", {
+            "chi": chi,
+            "k_minus_one_colorable": True,
+            "k_minus_one_coloring": lower,
+            "dominating_model_found": False,
+        }
     return "violated", {
         "chi": chi,
         "coloring": list(coloring),
-        "k_minus_one_colorable": lower is not None,
+        "k_minus_one_colorable": False,
         "dominating_model_found": False,
     }
 
@@ -205,10 +216,11 @@ def _t3_equivalence(g: Graph, cap: int, budget: float | None) -> tuple[str, dict
 
 
 # Each check is a function of (g, cap, budget) returning (outcome, detail),
-# with outcome in {ok, violated, capacity, skipped}; running out of time raises
-# SearchDeadlineExceeded.  The bodies name the package functions they call, so
-# those are looked up at call time (where tracers and test doubles replace
-# them).
+# with outcome in {ok, violated, inconsistent, capacity, skipped}
+# (inconsistent: the check's own evidence contradicts its finding); running
+# out of time raises SearchDeadlineExceeded.  The bodies name the package
+# functions they call, so those are looked up at call time (where tracers and
+# test doubles replace them).
 _CHECKS = {
     "dominating-hadwiger": _dominating_hadwiger,
     "extraction": lambda g, cap, budget: _extractor_check(
@@ -222,7 +234,10 @@ _CHECKS = {
 KNOWN_CHECKS = tuple(_CHECKS)
 
 # the verdict of the strongest outcome among a record's checks, else "holds"
-_PRECEDENCE = (("violated", "counterexample"), ("timeout", "timeout"), ("capacity", "capacity"))
+_PRECEDENCE = (
+    ("inconsistent", "internal-error"), ("violated", "counterexample"), ("timeout", "timeout"),
+    ("capacity", "capacity"),
+)
 
 
 def check_graph(
@@ -237,9 +252,9 @@ def check_graph(
     chi, its coloring and the 2K2 test through the per-graph memo of
     ``chromatic_number`` and ``find_2k2``, so each is computed once per graph;
     one that runs out of time is not remembered, and the next check that
-    needs it retries with its own budget.  Verdict precedence: counterexample
-    > timeout > capacity > holds.  ``chi`` is the first integer chi in any
-    check's detail.
+    needs it retries with its own budget.  Verdict precedence: internal-error
+    > counterexample > timeout > capacity > holds.  ``chi`` is the first
+    integer chi in any check's detail.
     """
     t0 = time.monotonic()
     detail: dict = {}
@@ -318,6 +333,9 @@ class HuntSummary:
 
     @property
     def exit_code(self) -> int:
+        """1 if a record contradicts itself, else 2 if one is a counterexample."""
+        if self.verdicts.get("internal-error", 0):
+            return 1
         return 2 if self.verdicts.get("counterexample", 0) else 0
 
 

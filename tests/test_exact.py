@@ -518,6 +518,94 @@ class TestConnectedSetWalker:
         assert count == 101411
         assert h.hexdigest() == "4b555643acaf2ef2a29d81f2fb764822"
 
+    @staticmethod
+    def atlas_walks():
+        """(graph6, graph, within, max_size, root, need, hook name, hook) for
+        every atlas graph with n <= 7: three seeded (within, max_size, root)
+        triples, each walked without a hook, under the excess cut's hook
+        ``_growth_test(g, need)`` and under a synthetic hook that is not
+        monotone."""
+        rng = random.Random(11)
+        for n in range(1, 8):
+            for line in (DATA / f"graphs{n}.g6").read_text().split():
+                g = parse_graph6(line)
+                for _ in range(3):
+                    within = rng.getrandbits(n) | 1 << rng.randrange(n)
+                    max_size = rng.randint(1, n)
+                    root = None
+                    if rng.random() < 0.6:
+                        root = 1 << rng.choice(set_to_list(within))
+                    need = rng.randint(0, 6)
+                    hooks = (
+                        ("none", None),
+                        ("excess", exact_mod._growth_test(g, need)),
+                        ("synthetic", lambda s: (s * 0x9E3779B1) >> 7 & 3 != 0),
+                    )
+                    for name, hook in hooks:
+                        yield line, g, within, max_size, root, need, name, hook
+
+    def test_rooted_and_hooked_walks_pinned(self):
+        # the pairs of each walk, and the sets handed to the hook in the
+        # order of their first test; the digest was taken on the per-size
+        # walker that the level-by-level one replaced (each size walked from
+        # scratch, with a hook that remembered its answers)
+        h = hashlib.md5()
+        count = tested = 0
+        for line, g, within, max_size, root, need, name, hook in self.atlas_walks():
+            calls: dict[int, None] = {}
+
+            def counting(s, hook=hook, calls=calls):
+                calls.setdefault(s)
+                return hook(s)
+
+            got = list(exact_mod._connected_sets_with_neighbors(
+                g, within, max_size, root, None if hook is None else counting
+            ))
+            for s, nb in got:
+                assert nb == neighbors_of_set(g, s) and s & within == s and is_connected_set(g, s)
+                assert root is None or s & root
+            count += len(got)
+            tested += len(calls)
+            h.update(f"{line} {within} {max_size} {root} {need} {name} {got} {list(calls)}\n".encode())
+        assert (count, tested) == (58674, 16864)
+        assert h.hexdigest() == "66f4d44df9775ec46d3e2948464f2bc2"
+
+    def test_each_set_tested_once_per_walk(self, monkeypatch):
+        # a set is handed to the hook at most once in a walk, and so is
+        # every set the excess cut's hook tests in a has_dominating_kt search
+        def counted(hook, tests):
+            def counting(s):
+                tests[s] += 1
+                return hook(s)
+            return counting
+
+        for _, g, within, max_size, root, _, _, hook in self.atlas_walks():
+            if hook is not None:
+                tests: Counter = Counter()
+                for _ in exact_mod._connected_sets_with_neighbors(
+                    g, within, max_size, root, counted(hook, tests)
+                ):
+                    pass
+                assert max(tests.values(), default=1) == 1
+
+        g = random_gnp(16, 0.25, 3)
+        tests = Counter()
+        list(exact_mod._connected_sets_with_neighbors(
+            g, g.full_mask, 7, None, counted(lambda s: True, tests)
+        ))
+        assert len(tests) > 1000 and max(tests.values()) == 1
+
+        growth_test = exact_mod._growth_test
+        hooks: list[Counter] = []
+
+        def counting_growth_test(g, need):
+            hooks.append(Counter())
+            return counted(growth_test(g, need), hooks[-1])
+
+        monkeypatch.setattr(exact_mod, "_growth_test", counting_growth_test)
+        assert has_dominating_kt(g, 6) is None
+        assert len(hooks) == 1 and len(hooks[0]) > 100 and max(hooks[0].values()) == 1
+
 
 class TestMinorSearch:
     def test_k5_clique_shortcut(self):

@@ -96,6 +96,24 @@ class TestCheckGraph:
         assert d["dominating_model_found"] is False
         assert len(d["coloring"]) == 5
 
+    def test_self_contradicting_record_is_internal_error(self, monkeypatch):
+        # a (chi - 1)-colouring refutes chi itself, so the record is never a
+        # counterexample
+        import domminor.hunt as hm
+
+        monkeypatch.setattr(hm, "has_dominating_kt", lambda *a, **k: None)
+        monkeypatch.setattr(hm, "_k_colorable", lambda g, k, deadline: [0, 1, 0, 1, 1])
+        verdict, chi, detail = check_graph(cycle(5), ("dominating-hadwiger",))
+        assert verdict == "internal-error" and chi == 3
+        d = detail["dominating-hadwiger"]
+        assert d["outcome"] == "inconsistent"
+        assert d["k_minus_one_colorable"] is True
+        assert d["k_minus_one_coloring"] == [0, 1, 0, 1, 1]
+        # it outranks a counterexample from another check
+        monkeypatch.setattr(hm, "has_kt_minor", lambda *a, **k: True)
+        verdict, _, _ = check_graph(cycle(5), ("t3-equivalence", "dominating-hadwiger"))
+        assert verdict == "internal-error"
+
     def test_original_search_unaffected(self):
         assert has_dominating_kt(cycle(5), 3) is not None
 
@@ -259,6 +277,18 @@ class TestRunHunt:
         assert summary.counterexamples == ["Dhc", "A_", "C`"]
         recs = read_records(out)
         assert all(r["detail"]["rechecked"] for r in recs)
+
+    def test_internal_error_exit_code(self, corpus_file, tmp_path, monkeypatch):
+        import domminor.hunt as hm
+
+        monkeypatch.setattr(hm, "has_dominating_kt", lambda *a, **k: None)
+        monkeypatch.setattr(hm, "_k_colorable", lambda g, k, deadline: [0] * g.n)
+        out = tmp_path / "r.jsonl"
+        summary = run_hunt(HuntConfig(input_path=str(corpus_file), output_path=str(out)))
+        assert summary.exit_code == 1
+        assert summary.verdicts == {"internal-error": 3}
+        assert summary.counterexamples == []
+        assert {r["verdict"] for r in read_records(out)} == {"internal-error"}
 
 
 class TestInputDecoding:
