@@ -1,9 +1,10 @@
 """Exact invariants and minor search: the ground-truth oracles.
 
 Provides the dominating / ordinary minor-model verifiers, exact chromatic,
-clique and independence numbers, connected-set enumeration, and exhaustive
-searches for dominating and ordinary K_t minors.  Everything here is exact;
-the exponential searches carry an explicit vertex cap that errs loudly.
+clique and independence numbers, connected-set enumeration, an exhaustive
+search for dominating K_t minors, and closed forms that decide ordinary K_t
+minors for t <= 3.  Everything here is exact; the exponential searches carry
+an explicit vertex cap that errs loudly.
 
 A minor model is an ordered tuple of vertex-set bitmasks (T_1, ..., T_t).
 A *dominating* model requires, for i < j, every vertex of T_j to have a
@@ -16,7 +17,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .graphs import Graph, _reach, bits, graph_memo, is_connected_set, mask_of, neighbors_of_set, set_to_list
+from .graphs import (
+    Graph, _reach, bits, connected_components, graph_memo, is_connected_set, mask_of, neighbors_of_set, set_to_list,
+)
 
 DEFAULT_SEARCH_CAP = 16
 
@@ -68,6 +71,9 @@ class ModelReport:
         return self.valid
 
 
+_VALID = ModelReport(True)  # immutable, so every passing check shares it
+
+
 def _structural_report(g: Graph, model: MinorModel) -> ModelReport | None:
     full = g.full_mask
     seen = 0
@@ -104,7 +110,7 @@ def verify_dominating_model(g: Graph, model: MinorModel) -> ModelReport:
                     False, "domination", i + 1, j + 1, v,
                     f"vertex {v} in T_{j + 1} has no neighbor in T_{i + 1}",
                 )
-    return ModelReport(True)
+    return _VALID
 
 
 def verify_ordinary_model(g: Graph, model: MinorModel) -> ModelReport:
@@ -120,7 +126,7 @@ def verify_ordinary_model(g: Graph, model: MinorModel) -> ModelReport:
                     False, "linkage", i + 1, j + 1, None,
                     f"no edge between T_{i + 1} and T_{j + 1}",
                 )
-    return ModelReport(True)
+    return _VALID
 
 
 def model_to_lists(model: MinorModel) -> list[list[int]]:
@@ -342,7 +348,7 @@ def chromatic_number(g: Graph, deadline_s: float | None = None) -> tuple[int, tu
     computation, so a remembered answer is returned whatever the deadline,
     and a call that raises :class:`SearchDeadlineExceeded` is not remembered.
     """
-    from .graphs import connected_components, induced_subgraph
+    from .graphs import induced_subgraph
 
     if g.n == 0:
         return 0, ()
@@ -461,7 +467,7 @@ def enumerate_connected_sets(g: Graph, within: int | None = None, max_size: int 
 
 
 # ---------------------------------------------------------------------------
-# dominating / ordinary K_t minor search
+# dominating K_t minor search; ordinary K_t minors for t <= 3
 # ---------------------------------------------------------------------------
 
 def _require_valid(g: Graph, model: MinorModel) -> None:
@@ -481,10 +487,11 @@ def _largest_set(adj: tuple[int, ...], m: int, rest: int) -> int:
     """The most vertices the next branch set drawn from ``m`` may take when
     ``rest`` more sets follow it inside ``m``.
 
-    This is the singleton-clique bound.  Any two single-vertex branch sets of
-    a model are adjacent, so the singletons form a clique and number at most
-    ω, at most the class count of a greedy colouring; every other set has two
-    or more vertices.  So the ``rest`` sets need ``rest + max(0, rest -
+    This is the singleton-clique bound, which caps both walks of
+    :func:`has_dominating_kt`.  Any two single-vertex branch sets of a model
+    are adjacent, so the singletons form a clique and number at most ω, at
+    most the class count of a greedy colouring; every other set has two or
+    more vertices.  So the ``rest`` sets need ``rest + max(0, rest -
     classes(m))`` vertices.
     """
     limit = m.bit_count() - rest
@@ -652,58 +659,21 @@ def has_dominating_kt(
     return model
 
 
-def has_kt_minor(
-    g: Graph, t: int, cap: int = DEFAULT_SEARCH_CAP, deadline_s: float | None = None
-) -> bool:
-    """Exact ordinary K_t minor decision (small-scale exhaustive search).
+def has_kt_minor(g: Graph, t: int) -> bool:
+    """Whether ``g`` has an ordinary K_t minor, for t in {1, 2, 3}.
 
-    The walk is cut by the singleton-clique bound of :func:`_largest_set`.
-    Each walked S is also tested by the K_r edge bound on the next call's
-    ``avail`` (``avail & ~s`` minus every vertex up to the least of S): the
-    ``rest`` sets drawn from it are disjoint and pairwise adjacent, so they
-    need C(rest, 2) edges between them.  The deadline ticks once per walked
-    set.
+    Each is a closed form: a K_1 minor iff ``g`` has a vertex, a K_2 minor
+    iff it has an edge, and a K_3 minor iff it has a cycle, that is iff it
+    has more than n - c edges, c being its number of components (a forest
+    has exactly n - c).  Raises ``ValueError`` for any other t.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    _check_cap(g, cap)
-    if t > g.n:
-        return False
-    omega, _ = clique_number(g)
-    if omega >= t:
-        return True
-    deadline = Deadline(deadline_s)
-    adj = g.adj
-    # Ordinary-model validity is order-insensitive, so enumerate families with
-    # strictly increasing set minima (each new set lives above the previous
-    # set's least vertex).
-    def rec(avail: int, nbr_masks: list[int], remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        rest = remaining - 1
-        limit = _largest_set(adj, avail, rest)
-        if limit < 1:
-            return False
-        pairs = rest * (rest - 1) // 2
-        for s, nb in _connected_sets_with_neighbors(g, avail, limit):
-            deadline.tick()
-            for nm in nbr_masks:
-                if s & nm == 0:
-                    break
-            else:
-                nxt = avail & ~s & ~((s & -s) - 1)  # the next set lies above min(s)
-                if pairs and _edge_count(adj, nxt) < pairs:
-                    continue
-                nbr_masks.append(nb)
-                if rec(nxt, nbr_masks, rest):
-                    return True
-                nbr_masks.pop()
-        return False
-
-    try:
-        return rec(g.full_mask, [], t)
-    finally:
-        del rec  # the closure refers to itself; free it without the cyclic collector
+    if t == 1:
+        return g.n > 0
+    if t == 2:
+        return any(g.adj)
+    if t == 3:
+        return g.edge_count() > g.n - len(connected_components(g))
+    raise ValueError("ordinary K_t minors are decided only for t in {1, 2, 3}")
 
 
 def dominating_hadwiger_number(
@@ -727,20 +697,3 @@ def dominating_hadwiger_number(
         best = nxt
     _require_valid(g, best)
     return t, best
-
-
-def hadwiger_number(
-    g: Graph, cap: int = DEFAULT_SEARCH_CAP, deadline_s: float | None = None
-) -> int:
-    """Largest t with an ordinary K_t minor (desk-scale, same search cap)."""
-    if g.n == 0:
-        raise ValueError("Hadwiger number of the empty graph is undefined")
-    _check_cap(g, cap)
-    deadline = Deadline(deadline_s)
-    t, _ = clique_number(g)
-    while t < g.n:
-        remaining = None if deadline.at is None else max(deadline.at - time.monotonic(), 0.001)
-        if not has_kt_minor(g, t + 1, cap=cap, deadline_s=remaining):
-            break
-        t += 1
-    return t

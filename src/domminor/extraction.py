@@ -42,6 +42,7 @@ maximum clique ends it ("clique").  Both extractors write the same kind of
 trace.
 
 Each recursion step is sound by construction and additionally re-verified:
+its prefix must pass the run's exact verifier (an error names the branch),
 the lift re-checks domination of every kept branch set by every prepended
 set, and the final model always passes the exact verifier.  Structural facts
 the analysis forces (e.g. the K4 in the low-degree branch) are asserted; a
@@ -184,15 +185,18 @@ class C5Partition:
 
 
 class _Ctx:
-    """One extraction run: its trace and its case analysis
-    (``branch(g, need, ctx, depth)``), the dominating one unless
-    :func:`extract_ordinary_minor` passes ``_p4_branch``."""
+    """One extraction run: its trace, its case analysis
+    (``branch(g, need, ctx, depth)``) and the verifier its models and
+    prefixes must pass: the dominating ones unless
+    :func:`extract_ordinary_minor` passes ``_p4_branch``, whose models are
+    ordinary ones."""
 
-    __slots__ = ("trace", "branch")
+    __slots__ = ("trace", "branch", "verify")
 
     def __init__(self, trace: Trace | None = None, branch=None):
         self.trace = trace
         self.branch = branch or _branch
+        self.verify = verify_ordinary_model if self.branch is _p4_branch else verify_dominating_model
 
     def record(self, depth: int, branch: str, **extra) -> None:
         if self.trace is not None:
@@ -243,10 +247,17 @@ def _reduce(
 
     Any need <= chi(G) is met, by induction: every branch removes a set U with
     chi(G[U]) <= c = len(prefix), so chi(G - U) >= chi(G) - c >= need - c and
-    no residual chi is needed.  :func:`lift_model` re-checks that the prefix
-    dominates every kept vertex.  The trace event names the branch and
-    records the prefix and the removed set.
+    no residual chi is needed.  The prefix must itself pass the run's
+    verifier, or :class:`InternalContradictionError` names ``branch``, and
+    :func:`lift_model` re-checks that the prefix dominates every kept
+    vertex.  The trace event names the branch and records the prefix and
+    the removed set.
     """
+    report = ctx.verify(g, prefix)
+    if not report.valid:
+        raise InternalContradictionError(
+            f"the {branch} prefix must itself be a model", {"report": report.message}, depth
+        )
     rest = need - len(prefix)
     residual: MinorModel = ()
     if rest > 0:
@@ -288,8 +299,9 @@ def _require_dominated(g: Graph, keep: int, prefix: MinorModel, invariant: str, 
 def _finish(need: int, model: MinorModel, depth: int) -> MinorModel:
     """Trim a possibly oversized model to its last ``need`` sets, the number
     the caller still owes (chi at the root).  Levels are not re-verified one
-    by one: :func:`lift_model` re-checks each level's domination, and the
-    root's verifier checks the whole model."""
+    by one: :func:`_reduce` checks each level's prefix, :func:`lift_model`
+    its domination of the kept sets, and the root's verifier the whole
+    model."""
     if len(model) < need:
         raise InternalContradictionError(
             "model smaller than its budget of sets",
@@ -496,14 +508,6 @@ def _low_degree_c5(
         mask_of((z, u)),
         mask_of((y, w)),
     )
-    report = verify_dominating_model(g, d)
-    _require(
-        report.valid,
-        "the four-set prefix must itself be a dominating K4 model",
-        {"report": report.message},
-        depth,
-    )
-
     smask = mask_of((x, y, z, u, w))
     iso, h = _attached(g, cmask)
     pool = h & ~smask
@@ -683,14 +687,6 @@ def _build_partition(
             mask_of((c[(i + 1) % 5], w1v)),
         )
         removed = cmask | iso | (1 << v) | w1 | w2
-        report = verify_dominating_model(g, prefix)
-        _require(
-            report.valid,
-            "the four-set prefix of the anticomplete-edge branch must itself "
-            "be a dominating model",
-            {"report": report.message},
-            depth,
-        )
         _require_dominated(
             g, full & ~removed, prefix,
             "every kept vertex must have a neighbor in each prefix set of the anticomplete-edge branch",
@@ -824,14 +820,6 @@ def _final_construction(
         {"m": m, "count": len(d)},
         depth,
     )
-    report = verify_dominating_model(g, tuple(d))
-    _require(
-        report.valid,
-        "the (2m+2)-set prefix must itself be a dominating model",
-        {"report": report.message},
-        depth,
-    )
-
     keep = (1 << c[4]) | y[4] | part.complete_side
     _require(
         keep == full & ~(rmask | part.independent),
@@ -927,15 +915,15 @@ def _branch(g: Graph, need: int, ctx: _Ctx, depth: int) -> MinorModel:
     return _final_construction(g, out, need, ctx, depth)
 
 
-def _extract_verified(g: Graph, ctx: _Ctx, verify) -> MinorModel:
+def _extract_verified(g: Graph, ctx: _Ctx) -> MinorModel:
     """The shell of both extractors: the 2K2-free precondition, the recursion,
-    then the caller's verifier on the whole model."""
+    then the run's verifier on the whole model."""
     w = find_2k2(g)
     if w is not None:
         raise Not2K2FreeError(w.vertices)
     chi, _ = chromatic_number(g)
     model = _extract(g, ctx, 0, chi)
-    report = verify(g, model)
+    report = ctx.verify(g, model)
     if len(model) != chi or not report.valid:
         raise InternalContradictionError(
             "final model failed verification",
@@ -953,7 +941,7 @@ def extract_dominating(g: Graph, trace: Trace | None = None) -> MinorModel:
     the analysis relies on fails, rather than ever returning an unverified
     model.
     """
-    return _extract_verified(g, _Ctx(trace), verify_dominating_model)
+    return _extract_verified(g, _Ctx(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -988,4 +976,4 @@ def extract_ordinary_minor(g: Graph, trace: Trace | None = None) -> MinorModel:
     The result passes the ordinary verifier but generally not the dominating
     one.
     """
-    return _extract_verified(g, _Ctx(trace, _p4_branch), verify_ordinary_model)
+    return _extract_verified(g, _Ctx(trace, _p4_branch))

@@ -1,13 +1,21 @@
-"""Crafted hosts that drive specific extraction branches, shared across tests.
+"""Helpers shared across tests: crafted extraction hosts and the reference
+ordinary minor search.
 
-Each builder returns a 2K2-free graph with chi > omega routed to one deep
-branch of the extractor; the routing facts are asserted in test_extraction
-and reused by the acceptance suite's branch-coverage check.
+Each host builder returns a 2K2-free graph with chi > omega routed to one
+deep branch of the extractor; the routing facts are asserted in
+test_extraction and reused by the acceptance suite's branch-coverage check.
 ``perturbed_host`` turns them into a seeded corpus around those branches.
+
+``has_kt_minor`` and ``hadwiger_number`` decide ordinary K_t minors for
+every t by exhaustive search.  The package decides them only for t <= 3, by
+closed forms (:func:`domminor.exact.has_kt_minor`); this search is the
+oracle those closed forms and the ordinary-side acceptance checks compare
+against.
 """
 
 import itertools
 
+from domminor import exact
 from domminor.generators import SplitMix64, complete_multipartite, cycle, random_2k2_free
 from domminor.graphs import Graph, complement, from_edge_list
 from domminor.patterns import is_2k2_free
@@ -128,3 +136,63 @@ def perturbed_host(seed: int) -> Graph:
     if rng.below(2):
         g = join(g, random_2k2_free(1 + rng.below(6), (0.2, 0.4, 0.6)[rng.below(3)], rng.next_u64()))
     return g
+
+
+def has_kt_minor(g: Graph, t: int) -> bool:
+    """Exact ordinary K_t minor decision for any t >= 1 (exhaustive search).
+
+    Ordinary-model validity is order-insensitive, so the search enumerates
+    families with strictly increasing set minima: each new set lives above
+    the previous set's least vertex.  Sets come from the package's
+    connected-set walker, looked up at call time so that a test can count
+    its yields.  The walk is cut by the singleton-clique bound of
+    ``exact._largest_set``.  Each walked S is also tested by the K_r edge
+    bound on the next call's ``avail`` (``avail & ~s`` minus every vertex up
+    to the least of S): the ``rest`` sets drawn from it are disjoint and
+    pairwise adjacent, so they need C(rest, 2) edges between them.
+    """
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    if t > g.n:
+        return False
+    omega, _ = exact.clique_number(g)
+    if omega >= t:
+        return True
+    adj = g.adj
+
+    def rec(avail: int, nbr_masks: list[int], remaining: int) -> bool:
+        if remaining == 0:
+            return True
+        rest = remaining - 1
+        limit = exact._largest_set(adj, avail, rest)
+        if limit < 1:
+            return False
+        pairs = rest * (rest - 1) // 2
+        for s, nb in exact._connected_sets_with_neighbors(g, avail, limit):
+            for nm in nbr_masks:
+                if s & nm == 0:
+                    break
+            else:
+                nxt = avail & ~s & ~((s & -s) - 1)  # the next set lies above min(s)
+                if pairs and exact._edge_count(adj, nxt) < pairs:
+                    continue
+                nbr_masks.append(nb)
+                if rec(nxt, nbr_masks, rest):
+                    return True
+                nbr_masks.pop()
+        return False
+
+    try:
+        return rec(g.full_mask, [], t)
+    finally:
+        del rec  # the closure refers to itself; free it without the cyclic collector
+
+
+def hadwiger_number(g: Graph) -> int:
+    """Largest t with an ordinary K_t minor, probed upward from omega."""
+    if g.n == 0:
+        raise ValueError("Hadwiger number of the empty graph is undefined")
+    t, _ = exact.clique_number(g)
+    while t < g.n and has_kt_minor(g, t + 1):
+        t += 1
+    return t

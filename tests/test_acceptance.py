@@ -20,6 +20,7 @@ from helpers import (
     complete_neighbor_host,
     final_host,
     forced_k4_host,
+    has_kt_minor,
     singleton_class_host,
 )
 
@@ -28,7 +29,6 @@ from domminor.exact import (
     clique_number,
     dominating_hadwiger_number,
     has_dominating_kt,
-    has_kt_minor,
     is_proper_coloring,
     verify_dominating_model,
     verify_ordinary_model,
@@ -128,7 +128,14 @@ def test_criterion_3_subdivided_complete_graphs():
         assert has_dominating_kt(g, 3) is not None
         hd, _ = dominating_hadwiger_number(g)
         assert hd == 3
-    assert has_kt_minor(one_subdivision_complete(4), 4)
+    # an explicit ordinary K4 model: branch vertex i with the subdivision
+    # vertices of its edges to later branch vertices
+    g = one_subdivision_complete(4)
+    model = [1 << i for i in range(4)]
+    for s in range(4, g.n):
+        model[(g.adj[s] & -g.adj[s]).bit_length() - 1] |= 1 << s
+    assert verify_ordinary_model(g, tuple(model)).valid
+    assert has_kt_minor(g, 4)
     _note(3, "1-subdivisions of K4 and K5 have hd = 3 exactly; ordinary K4 minor present")
 
 
@@ -264,12 +271,14 @@ def test_criterion_9_invariant_suites():
                 assert hd2 >= hd, f"edge ({u},{v}) on {emit_graph6(g)} dropped hd"
                 mono_checked += 1
 
-    # (c) omega <= hd <= ordinary Hadwiger number (probing the ordinary decider)
+    # (c) omega <= hd <= ordinary Hadwiger number: every dominating model is
+    # an ordinary one, which certifies hd <= h; the ordinary decider probes h
     sandwich_checked = 0
     for n in range(1, 7):
         for g in _atlas(n):
             omega, _ = clique_number(g)
-            hd, _ = dominating_hadwiger_number(g)
+            hd, model = dominating_hadwiger_number(g)
+            assert verify_ordinary_model(g, model).valid
             hadwiger = omega
             while hadwiger < g.n and has_kt_minor(g, hadwiger + 1):
                 hadwiger += 1

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import hadwiger_number, has_kt_minor
+
 import domminor.exact as exact_mod
 from domminor.exact import (
     CapacityError,
@@ -17,9 +19,7 @@ from domminor.exact import (
     clique_number,
     dominating_hadwiger_number,
     enumerate_connected_sets,
-    hadwiger_number,
     has_dominating_kt,
-    has_kt_minor,
     independence_number,
     is_proper_coloring,
     model_from_lists,
@@ -661,6 +661,27 @@ class TestMinorSearch:
         assert has_kt_minor(g, t) == brute_has_kt_minor(g, t)
 
 
+class TestOrdinaryClosedForms:
+    # the package decides ordinary K_1, K_2 and K_3 minors by a vertex, an
+    # edge and a cycle; the reference is the exhaustive search in helpers
+
+    def test_atlas_matches_reference_search(self):
+        count = 0
+        for n in range(9):
+            for line in (DATA / f"graphs{n}.g6").read_text().split():
+                g = parse_graph6(line)
+                for t in (1, 2, 3):
+                    assert exact_mod.has_kt_minor(g, t) == has_kt_minor(g, t), (line, t)
+                    count += 1
+        assert count == 40_797
+        assert not any(exact_mod.has_kt_minor(Graph(0, ()), t) for t in (1, 2, 3))  # not even K_1
+
+    @pytest.mark.parametrize("t", [0, 4])
+    def test_t_outside_closed_forms_raises(self, t):
+        with pytest.raises(ValueError):
+            exact_mod.has_kt_minor(complete(5), t)
+
+
 class TestInvariantProperties:
     @settings(max_examples=60, deadline=None)
     @given(random_graphs(max_n=6, min_n=1))
@@ -948,10 +969,6 @@ class TestEdgeBound:
         # the ticks between clock reads, so the deadline must tick per set
         with pytest.raises(SearchDeadlineExceeded):
             has_dominating_kt(random_gnp(16, 0.25, 3), 6, deadline_s=1e-4)
-
-    def test_ordinary_deadline_fires(self):
-        with pytest.raises(SearchDeadlineExceeded):
-            has_kt_minor(one_subdivision_complete(5), 6, deadline_s=1e-4)
 
 
 class TestExcessCut:
