@@ -35,27 +35,27 @@ class CliError(Exception):
 
 
 def _read_graph_text(args) -> str:
-    if getattr(args, "file", None):
+    if args.file:
         try:
             with open(args.file, encoding="utf-8") as fh:
                 return fh.read()
         except OSError as exc:
             raise CliError(f"cannot read graph file: {exc}")
-    if getattr(args, "graph", None) is None:
+    if args.graph is None:
         raise CliError("a graph literal or --file is required")
     return args.graph
 
 
 def _load_graph(args) -> Graph:
     text = _read_graph_text(args)
-    fmt = getattr(args, "format", "auto")
+    fmt = args.format
     if fmt == "auto":
         head = text.lstrip()[:1]
         fmt = "edges" if head.isdigit() or head == "#" else "g6"
     try:
         if fmt == "edges":
-            return parse_edge_list(text)
-        return parse_graph6(text, cap=getattr(args, "g6_cap", DEFAULT_GRAPH6_CAP))
+            return parse_edge_list(text, cap=args.g6_cap)
+        return parse_graph6(text, cap=args.g6_cap)
     except GraphError as exc:
         raise CliError(f"graph parse error: {exc}")
 
@@ -78,7 +78,7 @@ def _cmd_analyze(args) -> int:
     alpha, _ = exact.independence_number(g)
     w2 = patterns.find_2k2(g)
     c4 = patterns.find_induced_cycle(g, 4)
-    c5 = patterns.find_induced_cycle(g, 5) if g.n >= 5 else None
+    c5 = patterns.find_induced_cycle(g, 5)
     ban = patterns.find_banner(g)
     found = {
         "two_k2": w2.as_dict() if w2 else None,
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("graph", nargs="?", help="inline graph literal (graph6 or edge list)")
         p.add_argument("--file", help="read the graph from this file instead")
         p.add_argument("--format", choices=["auto", "g6", "edges"], default="auto")
-        p.add_argument("--g6-cap", type=int, default=DEFAULT_GRAPH6_CAP)
+        p.add_argument("--g6-cap", type=int, default=DEFAULT_GRAPH6_CAP, help="largest vertex count, either format")
 
     p = sub.add_parser("analyze", help="exact invariants and pattern witnesses")
     add_graph_args(p)

@@ -31,12 +31,12 @@ class CapacityError(Exception):
 
 
 class SearchDeadlineExceeded(Exception):
-    """Cooperative per-call time budget ran out."""
+    """The instant of a cooperative :class:`Deadline` passed."""
 
 
 class Deadline:
-    """Cheap cooperative deadline: ``tick`` reads the clock once every 256
-    ticks."""
+    """Cheap cooperative deadline, an instant the calls sharing it all stop
+    at (``None``: never): ``tick`` reads the clock once every 256 ticks."""
 
     __slots__ = ("at", "counter")
 
@@ -336,7 +336,7 @@ def _k_colorable(g: Graph, k: int, deadline: Deadline) -> list[int] | None:
 
 
 @graph_memo
-def chromatic_number(g: Graph, deadline_s: float | None = None) -> tuple[int, tuple[int, ...]]:
+def chromatic_number(g: Graph, deadline: Deadline | None = None) -> tuple[int, tuple[int, ...]]:
     """Exact chromatic number with a proper witness coloring.
 
     Sequential k-colorability from the clique number up to the DSATUR
@@ -344,7 +344,7 @@ def chromatic_number(g: Graph, deadline_s: float | None = None) -> tuple[int, tu
 
     Answers are remembered for the last ``GRAPH_MEMO_SIZE`` (64) distinct
     graphs, keyed by the graph alone (see
-    :func:`~domminor.graphs.graph_memo`): ``deadline_s`` bounds only a
+    :func:`~domminor.graphs.graph_memo`): ``deadline`` bounds only a
     computation, so a remembered answer is returned whatever the deadline,
     and a call that raises :class:`SearchDeadlineExceeded` is not remembered.
     """
@@ -352,7 +352,7 @@ def chromatic_number(g: Graph, deadline_s: float | None = None) -> tuple[int, tu
 
     if g.n == 0:
         return 0, ()
-    deadline = Deadline(deadline_s)
+    deadline = deadline or Deadline(None)
     colors = [0] * g.n
     k = 0
     for comp in connected_components(g):
@@ -529,7 +529,7 @@ def has_dominating_kt(
     g: Graph,
     t: int,
     cap: int = DEFAULT_SEARCH_CAP,
-    deadline_s: float | None = None,
+    deadline: Deadline | None = None,
     *,
     _dead: bytearray | None = None,
 ) -> MinorModel | None:
@@ -591,7 +591,7 @@ def has_dominating_kt(
     if omega >= t:
         model = tuple(1 << v for v in set_to_list(cmask)[:t])
         return model
-    deadline = Deadline(deadline_s)
+    deadline = deadline or Deadline(None)
     dead = bytearray(1 << g.n) if _dead is None else _dead
     adj = g.adj
     chosen: list[int] = []
@@ -676,21 +676,17 @@ def has_kt_minor(g: Graph, t: int) -> bool:
     raise ValueError("ordinary K_t minors are decided only for t in {1, 2, 3}")
 
 
-def dominating_hadwiger_number(
-    g: Graph, cap: int = DEFAULT_SEARCH_CAP, deadline_s: float | None = None
-) -> tuple[int, MinorModel]:
+def dominating_hadwiger_number(g: Graph, cap: int = DEFAULT_SEARCH_CAP) -> tuple[int, MinorModel]:
     """Largest t admitting a dominating K_t minor, probed upward from omega."""
     if g.n == 0:
         raise ValueError("dominating Hadwiger number of the empty graph is undefined")
     _check_cap(g, cap)
-    deadline = Deadline(deadline_s)
     omega, cmask = clique_number(g)
     t = omega
     best: MinorModel = tuple(1 << v for v in set_to_list(cmask))
     dead = bytearray(1 << g.n)
     while t < g.n:
-        remaining = None if deadline.at is None else max(deadline.at - time.monotonic(), 0.001)
-        nxt = has_dominating_kt(g, t + 1, cap=cap, deadline_s=remaining, _dead=dead)
+        nxt = has_dominating_kt(g, t + 1, cap=cap, _dead=dead)
         if nxt is None:
             break
         t += 1

@@ -47,8 +47,8 @@ the lift re-checks domination of every kept branch set by every prepended
 set, and the final model always passes the exact verifier.  Structural facts
 the analysis forces (e.g. the K4 in the low-degree branch) are asserted; a
 violation raises :class:`InternalContradictionError`, never a wrong model.
-A graph with more than ``DEFAULT_C5_CAP`` induced C5s raises
-:class:`EnumerationCapError`.
+More than ``DEFAULT_C5_CAP`` induced C5s raise :class:`EnumerationCapError`,
+a limit (``CapacityError``), not an extraction fault.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .exact import (
+    CapacityError,
     MinorModel,
     chromatic_number,
     clique_number,
@@ -119,7 +120,7 @@ class InternalContradictionError(ExtractionError):
         self.depth = depth
 
 
-class EnumerationCapError(ExtractionError):
+class EnumerationCapError(CapacityError):
     """The induced-C5 enumeration exceeded ``DEFAULT_C5_CAP`` embeddings."""
 
 

@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
-DEFAULT_GRAPH6_CAP = 512
+DEFAULT_GRAPH6_CAP = 512  # largest vertex count parsed, in graph6 or edge-list text
 
 # Distinct graphs each memoised function (``graph_memo``) remembers.  Of the
 # 904 chi calls on the first 156 graphs of the 2K2-free sweep, 332 hit at
@@ -279,10 +279,11 @@ def emit_graph6(g: Graph) -> str:
 # edge-list text and DOT
 # ---------------------------------------------------------------------------
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, cap: int = DEFAULT_GRAPH6_CAP) -> Graph:
     """Parse the plain text format: first line ``n m``, then m ``u v`` lines.
 
-    Lines starting with ``#`` are comments.
+    Lines starting with ``#`` are comments.  An ``n`` above ``cap`` is
+    rejected before anything is allocated, as in :func:`parse_graph6`.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -295,6 +296,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise GraphConstructionError(f"non-integer 'n m' header {lines[0]!r}") from None
+    if n > cap:
+        raise GraphConstructionError(f"vertex count {n} above cap {cap}")
     if len(lines) - 1 != m:
         raise GraphConstructionError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = []

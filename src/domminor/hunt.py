@@ -33,10 +33,11 @@ A resume is refused when a stored field differs, or when the output file
 holds fewer bytes than the checkpoint counted, since records would be lost.
 
 Checks live in the ``_CHECKS`` table (name -> function of the graph, the
-search cap and the time left).  The checks of one record, and the 2k2-free
-filter before them, share chi, its coloring and the 2K2 test through the
-per-graph memo of ``chromatic_number`` and ``find_2k2``, so each is computed
-once per graph.  The checks:
+search cap and the record's one deadline, which bounds its chi, searches and
+certificate).  The checks of one record, and the 2k2-free filter before
+them, share chi, its coloring and the 2K2 test through the per-graph memo of
+``chromatic_number`` and ``find_2k2``, so each is computed once per graph.
+The checks:
 
 * ``dominating-hadwiger``: compute chi, then search exhaustively for a
   dominating K_chi minor; absence is a conjecture counterexample and carries
@@ -76,6 +77,7 @@ except ImportError:
 
 from .exact import (
     DEFAULT_SEARCH_CAP,
+    CapacityError,
     Deadline,
     SearchDeadlineExceeded,
     _k_colorable,
@@ -86,7 +88,7 @@ from .exact import (
     verify_dominating_model,
     verify_ordinary_model,
 )
-from .extraction import ExtractionError, extract_dominating, extract_ordinary_minor
+from .extraction import EnumerationCapError, ExtractionError, extract_dominating, extract_ordinary_minor
 from .graphs import Graph, GraphError, parse_graph6
 from .patterns import find_2k2
 
@@ -117,6 +119,8 @@ class HuntConfig:
     def validate(self) -> None:
         if self.workers < 1:
             raise HuntError("worker count must be >= 1")
+        if self.exact_cap < 0:
+            raise HuntError("search cap must be >= 0")
         if self.time_budget_s is not None and not self.time_budget_s > 0:  # also refuses NaN
             raise HuntError("time budget must be positive")
         bad = [c for c in self.checks if c not in KNOWN_CHECKS]
@@ -160,19 +164,17 @@ class HuntRecord:
 # per-graph checking
 # ---------------------------------------------------------------------------
 
-def _dominating_hadwiger(g: Graph, cap: int, budget: float | None) -> tuple[str, dict]:
-    chi, coloring = chromatic_number(g, deadline_s=budget)
+def _dominating_hadwiger(g: Graph, cap: int, deadline: Deadline) -> tuple[str, dict]:
+    chi, coloring = chromatic_number(g, deadline)
     if chi == 0:
         return "ok", {"chi": 0}
-    if g.n > cap:
-        return "capacity", {"n": g.n, "cap": cap}
-    model = has_dominating_kt(g, chi, cap=cap, deadline_s=budget)
+    model = has_dominating_kt(g, chi, cap, deadline)
     if model is not None:
         return "ok", {"chi": chi, "dominating_model": model_to_lists(model)}
     # counterexample certificate: the coloring shows chi(g) <= chi, the
     # exhausted searches show chi-1 colors and a dominating K_chi are
     # both impossible
-    lower = _k_colorable(g, chi - 1, Deadline(budget)) if chi > 1 else None
+    lower = _k_colorable(g, chi - 1, deadline) if chi > 1 else None
     if lower is not None:
         # chi - 1 colours suffice, so chi was wrong: the record would refute
         # its own certificate
@@ -190,12 +192,12 @@ def _dominating_hadwiger(g: Graph, cap: int, budget: float | None) -> tuple[str,
     }
 
 
-def _extractor_check(g: Graph, budget: float | None, extract, verify) -> tuple[str, dict]:
+def _extractor_check(g: Graph, deadline: Deadline, extract, verify) -> tuple[str, dict]:
     """On a 2K2-free graph, the extractor's model must have chi sets and pass
     the verifier."""
     if find_2k2(g) is not None:
         return "skipped", {"reason": "not 2k2-free"}
-    chi, _ = chromatic_number(g, deadline_s=budget)
+    chi, _ = chromatic_number(g, deadline)
     try:
         model = extract(g)
     except ExtractionError as exc:
@@ -205,30 +207,28 @@ def _extractor_check(g: Graph, budget: float | None, extract, verify) -> tuple[s
     return "ok", {"chi": chi, "sets": len(model)}
 
 
-def _t3_equivalence(g: Graph, cap: int, budget: float | None) -> tuple[str, dict]:
-    if g.n > cap:
-        return "capacity", {"n": g.n, "cap": cap}
+def _t3_equivalence(g: Graph, cap: int, deadline: Deadline) -> tuple[str, dict]:
     for t in (1, 2, 3):
-        dom = has_dominating_kt(g, t, cap=cap, deadline_s=budget) is not None
+        dom = has_dominating_kt(g, t, cap, deadline) is not None
         ordi = has_kt_minor(g, t)
         if dom != ordi:
             return "violated", {"t": t, "dominating": dom, "ordinary": ordi}
     return "ok", {}
 
 
-# Each check is a function of (g, cap, budget) returning (outcome, detail),
-# with outcome in {ok, violated, inconsistent, capacity, skipped}
-# (inconsistent: the check's own evidence contradicts its finding); running
-# out of time raises SearchDeadlineExceeded.  The bodies name the package
+# Each check is a function of (g, cap, deadline) returning (outcome, detail),
+# with outcome in {ok, violated, inconsistent, skipped} (inconsistent: the
+# check's own evidence contradicts its finding); a limit raises, and
+# ``check_graph`` maps it to an outcome.  The bodies name the package
 # functions they call, so those are looked up at call time (where tracers and
 # test doubles replace them).
 _CHECKS = {
     "dominating-hadwiger": _dominating_hadwiger,
-    "extraction": lambda g, cap, budget: _extractor_check(
-        g, budget, extract_dominating, verify_dominating_model
+    "extraction": lambda g, cap, deadline: _extractor_check(
+        g, deadline, extract_dominating, verify_dominating_model
     ),
-    "ordinary-minor": lambda g, cap, budget: _extractor_check(
-        g, budget, extract_ordinary_minor, verify_ordinary_model
+    "ordinary-minor": lambda g, cap, deadline: _extractor_check(
+        g, deadline, extract_ordinary_minor, verify_ordinary_model
     ),
     "t3-equivalence": _t3_equivalence,
 }
@@ -249,25 +249,29 @@ def check_graph(
 ) -> tuple[str, int | None, dict]:
     """Run the requested checks; returns (verdict, chi, detail-per-check).
 
-    Each check gets the time left of ``time_budget_s``.  The checks share
-    chi, its coloring and the 2K2 test through the per-graph memo of
-    ``chromatic_number`` and ``find_2k2``, so each is computed once per graph;
-    one that runs out of time is not remembered, and the next check that
-    needs it retries with its own budget.  Verdict precedence: internal-error
-    > counterexample > timeout > capacity > holds.  ``chi`` is the first
-    integer chi in any check's detail.
+    One ``Deadline(time_budget_s)`` bounds every check's chi, searches and
+    certificate (not the extractors).  A limit is an outcome: ``timeout``, or
+    ``capacity`` (with the C5 cap's ``error``).  The checks share chi, its
+    coloring and the 2K2 test through the per-graph memo of
+    ``chromatic_number`` and ``find_2k2``; one that runs out of time is not
+    remembered, and the next check that needs it retries under the same
+    deadline.  Verdict precedence: internal-error > counterexample > timeout
+    > capacity > holds.  ``chi`` is the first integer chi in any detail.
     """
-    t0 = time.monotonic()
+    deadline = Deadline(time_budget_s)
     detail: dict = {}
     chi: int | None = None
     for name in checks:
         if name not in _CHECKS:
             raise HuntError(f"unknown check {name!r}")
-        budget = None if time_budget_s is None else max(time_budget_s - (time.monotonic() - t0), 0.001)
         try:
-            outcome, info = _CHECKS[name](g, cap, budget)
+            outcome, info = _CHECKS[name](g, cap, deadline)
         except SearchDeadlineExceeded:
             outcome, info = "timeout", {"check": name}
+        except EnumerationCapError as exc:
+            outcome, info = "capacity", {"error": str(exc)}
+        except CapacityError:
+            outcome, info = "capacity", {"n": g.n, "cap": cap}
         detail[name] = {"outcome": outcome, **info}
         if chi is None and isinstance(info.get("chi"), int):
             chi = info["chi"]

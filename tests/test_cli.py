@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import domminor.extraction as ex
 from domminor.cli import main
 from domminor.generators import cycle, two_k2
 from domminor.graphs import emit_edge_list, emit_graph6
@@ -44,6 +45,13 @@ class TestAnalyze:
         assert code == 1
         assert obj["schema"] == "domminor/error/v1" and "non-integer" in obj["error"]
 
+    def test_g6_cap_bounds_both_formats(self, capsys):
+        for argv in (["--format", "edges", "513 0"], ["--g6-cap", "4", "5 0"], ["--g6-cap", "4", "Dhc"]):
+            code, obj = run_json(capsys, "analyze", *argv)
+            assert code == 1 and "above cap" in obj["error"]
+        code, obj = run_json(capsys, "analyze", "--g6-cap", "600", "600 0")
+        assert code == 0 and obj["n"] == 600
+
     def test_edge_list_file(self, capsys, tmp_path):
         p = tmp_path / "g.edges"
         p.write_text(emit_edge_list(cycle(5)))
@@ -70,6 +78,12 @@ class TestExtract:
         code, obj = run_json(capsys, "extract", emit_graph6(two_k2()))
         assert code == 1
         assert obj["witness"] == [0, 1, 2, 3]
+
+    def test_c5_cap_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(ex, "DEFAULT_C5_CAP", 0)
+        code, obj = run_json(capsys, "extract", "Dhc")
+        assert code == 1
+        assert obj == {"schema": "domminor/error/v1", "error": "more than 0 induced C5 embeddings (extraction.DEFAULT_C5_CAP)"}
 
     def test_trace_file(self, capsys, tmp_path):
         path = tmp_path / "trace.jsonl"

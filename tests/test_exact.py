@@ -14,6 +14,7 @@ from helpers import hadwiger_number, has_kt_minor
 import domminor.exact as exact_mod
 from domminor.exact import (
     CapacityError,
+    Deadline,
     SearchDeadlineExceeded,
     chromatic_number,
     clique_number,
@@ -435,14 +436,14 @@ class TestGraphMemo:
     def test_deadline_failure_is_not_remembered(self):
         g = mycielski(mycielski(C5))  # 23 vertices, triangle-free, chi 5
         with pytest.raises(SearchDeadlineExceeded):
-            chromatic_number(g, deadline_s=0)
+            chromatic_number(g, Deadline(0))
         assert chromatic_number.cache_info().size == 0
         k, colors = chromatic_number(g)
         assert (k, colors) == chromatic_number.__wrapped__(g)
         assert k == 5 and is_proper_coloring(g, colors, k)
         assert chromatic_number.cache_info() == (0, 2, 1)
         # a remembered answer is returned whatever the deadline
-        assert chromatic_number(g, deadline_s=0) == (k, colors)
+        assert chromatic_number(g, Deadline(0)) == (k, colors)
 
     def test_size_is_bounded_least_recent_evicted(self):
         paths = [path(n) for n in range(1, GRAPH_MEMO_SIZE + 11)]
@@ -801,9 +802,7 @@ class TestDeadStateMemo:
     def test_deadline_then_full_search(self):
         g = random_2k2_free(13, 0.4, 3)
         with pytest.raises(SearchDeadlineExceeded):
-            dominating_hadwiger_number(g, deadline_s=1e-4)
-        with pytest.raises(SearchDeadlineExceeded):
-            has_dominating_kt(g, 9, deadline_s=1e-4)
+            has_dominating_kt(g, 9, deadline=Deadline(1e-4))
         assert dominating_hadwiger_number(g) == (8, (33, 66, 4612, 272, 8, 128, 1024, 2048))
         assert has_dominating_kt(g, 9) is None
 
@@ -968,7 +967,7 @@ class TestEdgeBound:
         # the pruned search makes only ~100 recursive calls here, fewer than
         # the ticks between clock reads, so the deadline must tick per set
         with pytest.raises(SearchDeadlineExceeded):
-            has_dominating_kt(random_gnp(16, 0.25, 3), 6, deadline_s=1e-4)
+            has_dominating_kt(random_gnp(16, 0.25, 3), 6, deadline=Deadline(1e-4))
 
 
 class TestExcessCut:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domminor.graphs import (
+    DEFAULT_GRAPH6_CAP,
     Graph,
     Graph6ParseError,
     Graph6RangeError,
@@ -209,6 +210,16 @@ class TestEdgeListText:
     def test_edge_count_mismatch(self):
         with pytest.raises(GraphConstructionError, match="promises"):
             parse_edge_list("3 2\n0 1\n")
+
+    def test_vertex_cap(self):
+        # the header is checked against the graph6 cap before the rows are
+        # allocated, so a huge n costs nothing
+        assert parse_edge_list(f"{DEFAULT_GRAPH6_CAP} 0\n").n == DEFAULT_GRAPH6_CAP
+        with pytest.raises(GraphConstructionError, match=f"vertex count {DEFAULT_GRAPH6_CAP + 1} above cap"):
+            parse_edge_list(f"{DEFAULT_GRAPH6_CAP + 1} 0\n")
+        assert parse_edge_list("3 1\n0 1\n", cap=3).n == 3
+        with pytest.raises(GraphConstructionError, match="above cap 2"):
+            parse_edge_list("3 1\n0 1\n", cap=2)
 
     def test_dot_contains_edges(self):
         dot = to_dot(from_edge_list(2, [(0, 1)]))

@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 
 import domminor.hunt as hm
+import domminor.extraction as ex
 from domminor.exact import SearchDeadlineExceeded, has_dominating_kt
 from domminor.generators import complete, cycle, one_subdivision_complete, random_gnp
-from domminor.graphs import emit_graph6
+from domminor.graphs import emit_graph6, from_edge_list
 from domminor.hunt import (
     HuntConfig,
     HuntError,
@@ -245,6 +246,12 @@ class TestRunHunt:
             HuntConfig(time_budget_s=-1.0).validate()
         with pytest.raises(HuntError):
             HuntConfig(graph_filter="planar").validate()
+
+    def test_search_cap_must_not_be_negative(self):
+        # a negative cap would mark every graph "capacity" and exit 0
+        with pytest.raises(HuntError, match="search cap"):
+            HuntConfig(exact_cap=-1).validate()
+        HuntConfig(exact_cap=0).validate()
 
     def test_budget_must_be_a_positive_number(self):
         # NaN fails every comparison, so "budget <= 0" let it through and it
@@ -491,6 +498,60 @@ class TestStream:
         summary = run_hunt(HuntConfig(input_path=str(p), output_path=str(out), checkpoint_path=str(ckpt)))
         assert summary.total == 400
         assert strip_elapsed(read_records(out)) == expected
+
+
+def c5_independent_blowup(m):
+    """C5 with each vertex replaced by m pairwise non-adjacent twins: 2K2-free,
+    with m^5 induced C5s."""
+    return from_edge_list(5 * m, [(i * m + a, (i + 1) % 5 * m + b) for i in range(5) for a in range(m) for b in range(m)])
+
+
+class TestLimits:
+    def test_one_deadline_per_graph(self, monkeypatch):
+        # every budgeted call of one record stops at the same instant, the
+        # budget after the record began, however long the calls before it took
+        stops = []
+
+        def chi(g, deadline):
+            stops.append(("chi", deadline.at))
+            time.sleep(0.02)
+            return 3, (0, 1, 0, 1, 2)
+
+        def search(g, t, cap, deadline):
+            stops.append(("search", deadline.at))
+            time.sleep(0.02)
+            return None
+
+        def certificate(g, k, deadline):
+            stops.append(("certificate", deadline.at))
+            return None
+
+        monkeypatch.setattr(hm, "chromatic_number", chi)
+        monkeypatch.setattr(hm, "has_dominating_kt", search)
+        monkeypatch.setattr(hm, "_k_colorable", certificate)
+        budget = 0.1
+        t0 = time.monotonic()
+        check_graph(cycle(5), ("dominating-hadwiger", "extraction", "t3-equivalence"), time_budget_s=budget)
+        t1 = time.monotonic()
+        assert [name for name, _ in stops] == ["chi", "search", "certificate", "chi", "search"]
+        assert len({at for _, at in stops}) == 1
+        assert t0 + budget <= stops[0][1] <= t1 + budget
+
+    def test_c5_cap_is_capacity_not_counterexample(self, monkeypatch, tmp_path):
+        # the extractor's induced-C5 cap is a limit of the tool: more C5s
+        # than it allows says nothing about the conjecture
+        monkeypatch.setattr(ex, "DEFAULT_C5_CAP", 5)
+        g = c5_independent_blowup(2)  # 32 induced C5s
+        verdict, chi, detail = check_graph(g, ALL_CHECKS)
+        assert (verdict, chi) == ("capacity", 3)
+        error = "more than 5 induced C5 embeddings (extraction.DEFAULT_C5_CAP)"
+        assert detail["extraction"] == {"outcome": "capacity", "error": error}
+        corpus = tmp_path / "blowup.g6"
+        corpus.write_text(emit_graph6(g) + "\n")
+        summary = run_hunt(
+            HuntConfig(input_path=str(corpus), output_path=str(tmp_path / "r.jsonl"), checks=("extraction",))
+        )
+        assert summary.verdicts == {"capacity": 1} and summary.exit_code == 0
 
 
 class TestSharedFacts:
