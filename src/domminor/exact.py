@@ -13,6 +13,7 @@ neighbor in T_i; the *ordinary* model only requires some vertex of T_j to.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -165,20 +166,54 @@ def _greedy_class_count(adj: tuple[int, ...], p: int, enough: int) -> int:
     return classes
 
 
-def _edge_count(adj: tuple[int, ...], m: int) -> int:
-    """The number of edges of the subgraph induced by the vertex set ``m``."""
-    edges = 0
-    while m:
-        low = m & -m
-        m ^= low
-        edges += (adj[low.bit_length() - 1] & m).bit_count()
-    return edges
+@functools.cache
+def _edge_layout(n: int) -> tuple[int, int, int, int]:
+    """(width, diag, spread, ones) of :func:`_edge_counter` on n vertices."""
+    width = n + 1
+    diag = sum(1 << i * width for i in range(n))
+    spread = sum(1 << k * n for k in range(n))
+    return width, diag, spread, (1 << n) - 1
 
 
-def _core_excess(adj: tuple[int, ...], w: int) -> int:
+def _edge_counter(adj: tuple[int, ...]) -> Callable[[int], int]:
+    """``count(m)``: the number of edges of the subgraph induced by a vertex
+    set ``m`` inside the n vertices of ``adj``, in a constant number of
+    big-int operations.
+
+    The adjacency matrix is one int, row i at bit i(n + 1), so each row has
+    a spare bit above its n.  With diag = sum of 2^(i(n + 1)), spread = sum
+    of 2^(kn) for k < n and ones = 2^n - 1, e(G[m]) is half the popcount of
+    matrix & m*diag & ((m*spread) & diag)*ones.  No product carries, since
+    each is a sum of shifted copies of a number below 2^n, and the copies
+    sit in disjoint bit ranges, so the sum is their OR:
+
+    - m*diag has m in every row, at bits [i(n + 1), i(n + 1) + n);
+    - m*spread has copy k of m at bits [kn, kn + n).  Bit i(n + 1) = i + in
+      is bit i of copy i, and of no other copy: j + kn = i + in with j, i
+      < n forces j = i.  So (m*spread) & diag is the sum of 2^(i(n + 1))
+      over the i in m;
+    - times ones, each of those terms fills the n low bits of its row, and
+      the spare bit keeps rows apart: a row mask of the i in m.
+
+    The AND leaves adj[i] & m in row i for each i in m, and 0 elsewhere,
+    so every edge of G[m] is counted once from each end.
+    """
+    width, diag, spread, ones = _edge_layout(len(adj))
+    matrix = 0
+    for row in reversed(adj):
+        matrix = matrix << width | row
+
+    def count(m: int) -> int:
+        return (matrix & m * diag & (m * spread & diag) * ones).bit_count() >> 1
+
+    return count
+
+
+def _core_excess(adj: tuple[int, ...], w: int, count: Callable[[int], int]) -> int:
     """e(C) - |C| for the 2-core C of the subgraph induced by ``w``, 0 if C
     is empty: the largest e(X) - |X| over the vertex sets X inside ``w``
-    (see :func:`has_dominating_kt`).
+    (see :func:`has_dominating_kt`).  ``count`` is the graph's
+    :func:`_edge_counter`, which gives e(C) in one step.
 
     The peel deletes vertices of degree at most 1 in ascending order, and
     visits again the one neighbour of each vertex it deletes, whose degree
@@ -192,7 +227,7 @@ def _core_excess(adj: tuple[int, ...], w: int) -> int:
         if nb & (nb - 1) == 0:
             w ^= low
             m |= nb
-    return _edge_count(adj, w) - w.bit_count()
+    return count(w) - w.bit_count()
 
 
 @graph_memo
@@ -505,22 +540,18 @@ def _growth_test(g: Graph, need: int) -> Callable[[int], bool]:
     outside S has e(R) - |R| < ``need``, which then holds for every
     superset of S too.
 
-    The 2-core is peeled only when a cheaper bound falls short of ``need``:
-    e(V - S) - |V - S| is at least e - n - 1 minus the sum of deg(v) - 2
-    over S, since a connected S has at least |S| - 1 edges of its own.
+    With W = V - S, the 2-core of G[W] is peeled only when e(W) - |W|, one
+    step of the graph's :func:`_edge_counter`, falls short of ``need``.
+    That is exact for X = W, so at most the 2-core excess, the largest
+    e(X) - |X| over X inside W: the test is true as often as the peel alone.
     """
-    spent = [row.bit_count() - 2 for row in g.adj]
-    slack = sum(spent) // 2 - 1 - need
+    adj = g.adj
     full = g.full_mask
+    count = _edge_counter(adj)
 
     def grows(s: int) -> bool:
-        cost = 0
-        m = s
-        while m:
-            low = m & -m
-            m ^= low
-            cost += spent[low.bit_length() - 1]
-        return cost <= slack or _core_excess(g.adj, full & ~s) >= need
+        w = full & ~s
+        return count(w) - w.bit_count() >= need or _core_excess(adj, w, count) >= need
 
     return grows
 
@@ -556,8 +587,11 @@ def has_dominating_kt(
     A mask R is split into r sets only if |R| >= r, R is connected and G[R]
     has at least C(r, 2) + |R| - r edges: the r sets are disjoint, connected
     and pairwise adjacent, so they need |R| - r edges inside them and one
-    edge between each pair.  At both levels, the size of the set walked is
-    capped by the singleton-clique bound of :func:`_largest_set`.
+    edge between each pair.  Edges are counted by :func:`_edge_counter`, in
+    a constant number of big-int operations per mask; the counter is built
+    once per call, after the clique shortcut.  At both levels, the size of
+    the set walked is capped by the singleton-clique bound of
+    :func:`_largest_set`.
 
     The T_1 walk is cut by the same edge bound.  With r = t - 1 >= 4, a mask
     R that splits has e(R) - |R| >= need = r(r - 3)/2.  Every T_1 walked
@@ -570,7 +604,9 @@ def has_dominating_kt(
     degree sum, so at least |Z - Y|: e(Y) - |Y| <= e(Z) - |Z|.  So once the
     2-core excess of G - S falls below need, no set below S passes, and the
     walker does not grow S (:func:`_growth_test`); the test refutes at S
-    empty before any walk.  For r <= 3, need <= 0 and the test is off.
+    empty before any walk.  The peel runs only when e(W) - |W|, exact and
+    at most the 2-core excess, falls short.  For r <= 3, need <= 0 and the
+    test is off.
 
     Dead states are memoised: ``dead[R]`` is the smallest r for which R is
     proven not to split (0: unknown), and a mask that fails the cuts is
@@ -594,6 +630,7 @@ def has_dominating_kt(
     deadline = deadline or Deadline(None)
     dead = bytearray(1 << g.n) if _dead is None else _dead
     adj = g.adj
+    count = _edge_counter(adj)
     chosen: list[int] = []
 
     def splits(m: int, r: int) -> bool:
@@ -601,7 +638,7 @@ def has_dominating_kt(
         size = m.bit_count()
         if size < r or 0 < dead[m] <= r:
             return False
-        if _edge_count(adj, m) < r * (r - 1) // 2 + size - r or _reach(g, m & -m, m) != m:
+        if count(m) < r * (r - 1) // 2 + size - r or _reach(g, m & -m, m) != m:
             dead[m] = r
             return False
         return True

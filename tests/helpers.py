@@ -159,6 +159,7 @@ def has_kt_minor(g: Graph, t: int) -> bool:
     if omega >= t:
         return True
     adj = g.adj
+    count = exact._edge_counter(adj)
 
     def rec(avail: int, nbr_masks: list[int], remaining: int) -> bool:
         if remaining == 0:
@@ -174,7 +175,7 @@ def has_kt_minor(g: Graph, t: int) -> bool:
                     break
             else:
                 nxt = avail & ~s & ~((s & -s) - 1)  # the next set lies above min(s)
-                if pairs and exact._edge_count(adj, nxt) < pairs:
+                if pairs and count(nxt) < pairs:
                     continue
                 nbr_masks.append(nb)
                 if rec(nxt, nbr_masks, rest):

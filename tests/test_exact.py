@@ -933,12 +933,19 @@ class TestEdgeBound:
     # the mask they are drawn from induces at least C(r, 2) edges
 
     def test_edge_count_matches_induced_subgraph(self):
+        # n = 17, 40 and 70 pass the default cap, and at n = 70 a mask is
+        # wider than one 64-bit word
         rng = random.Random(12)
-        graphs = [parse_graph6(line) for line in (DATA / "graphs6.g6").read_text().split()]
-        graphs += [random_gnp(n, p, seed) for n in (9, 13, 16) for p in (0.2, 0.5, 0.8) for seed in (1, 2)]
+        graphs = [
+            parse_graph6(line) for n in (0, 1, 2, 6) for line in (DATA / f"graphs{n}.g6").read_text().split()
+        ]
+        graphs += [
+            random_gnp(n, p, seed) for n in (9, 13, 16, 17, 40, 70) for p in (0.2, 0.5, 0.8) for seed in (1, 2)
+        ]
         for g in graphs:
+            count = exact_mod._edge_counter(g.adj)
             for m in (0, g.full_mask, *(rng.getrandbits(g.n) for _ in range(8))):
-                assert exact_mod._edge_count(g.adj, m) == induced_subgraph(g, m)[0].edge_count()
+                assert count(m) == induced_subgraph(g, m)[0].edge_count()
 
     @staticmethod
     def count_walk(monkeypatch) -> list[int]:
@@ -992,7 +999,7 @@ class TestExcessCut:
             for line in (DATA / f"graphs{n}.g6").read_text().split():
                 g = parse_graph6(line)
                 for w, best in enumerate(self.brute_excess(g)):
-                    assert exact_mod._core_excess(g.adj, w) == best, (line, w)
+                    assert exact_mod._core_excess(g.adj, w, exact_mod._edge_counter(g.adj)) == best, (line, w)
                     count += 1
         assert count == 11_291
 
@@ -1001,7 +1008,24 @@ class TestExcessCut:
     def test_core_excess_matches_brute_force_on_gnp(self, n, p, seed):
         g = random_gnp(n, p, seed)
         best = self.brute_excess(g)
-        assert [exact_mod._core_excess(g.adj, w) for w in range(1 << n)] == best
+        assert [exact_mod._core_excess(g.adj, w, exact_mod._edge_counter(g.adj)) for w in range(1 << n)] == best
+
+    def test_growth_test_shortcut_only_skips_peels(self):
+        # the test tries e(W) - |W| before it peels, W = V - S; it must be
+        # true exactly when the 2-core excess of G[W] reaches need
+        count = 0
+        for n in range(8):
+            for line in (DATA / f"graphs{n}.g6").read_text().split():
+                g = parse_graph6(line)
+                edges = exact_mod._edge_counter(g.adj)
+                sets = [0, *enumerate_connected_sets(g)]
+                for need in (2, 5, 9):
+                    grows = exact_mod._growth_test(g, need)
+                    for s in sets:
+                        excess = exact_mod._core_excess(g.adj, g.full_mask & ~s, edges)
+                        assert grows(s) == (excess >= need), (line, need, s)
+                        count += 1
+        assert count == 259_035
 
     def test_t1_walk_stays_cut(self, monkeypatch):
         yields = TestEdgeBound.count_walk(monkeypatch)
