@@ -518,20 +518,21 @@ def _check_cap(g: Graph, cap: int) -> None:
         )
 
 
-def _largest_set(adj: tuple[int, ...], m: int, rest: int) -> int:
+def _largest_set(adj: tuple[int, ...], m: int, rest: int, cap: int) -> int:
     """The most vertices the next branch set drawn from ``m`` may take when
-    ``rest`` more sets follow it inside ``m``.
+    ``rest`` more sets follow it inside ``m``, given ``cap`` >= ω(G[m]).
 
     This is the singleton-clique bound, which caps both walks of
     :func:`has_dominating_kt`.  Any two single-vertex branch sets of a model
-    are adjacent, so the singletons form a clique and number at most ω, at
-    most the class count of a greedy colouring; every other set has two or
-    more vertices.  So the ``rest`` sets need ``rest + max(0, rest -
-    classes(m))`` vertices.
+    are adjacent, so the singletons inside ``m`` form a clique of G[m] and
+    number at most ω(G[m]): at most ``cap``, and at most the class count of
+    a greedy colouring of ``m``, which stops at min(rest, cap) classes.
+    Every other set has two or more vertices.  So the ``rest`` sets need
+    ``rest + max(0, rest - singletons)`` vertices.
     """
     limit = m.bit_count() - rest
     if rest >= 2:
-        limit -= rest - _greedy_class_count(adj, m, rest)
+        limit -= rest - _greedy_class_count(adj, m, min(rest, cap))
     return limit
 
 
@@ -591,7 +592,20 @@ def has_dominating_kt(
     a constant number of big-int operations per mask; the counter is built
     once per call, after the clique shortcut.  At both levels, the size of
     the set walked is capped by the singleton-clique bound of
-    :func:`_largest_set`.
+    :func:`_largest_set`, given a cap on ω of the mask walked.  The T_1
+    walk passes ω(G).  ``part(m, r, cap)`` gets ω(G) - [T_1 is one vertex]
+    and passes cap - [S is one vertex] on to the mask after S.  That is an
+    upper bound on ω(G[m]):
+
+    - every vertex of m is adjacent to every set chosen before it, since
+      R lies inside N(T_1) and each chosen S passed the ``nxt & ~nb`` test;
+    - so a clique inside m, together with the chosen singletons (each a
+      vertex of an earlier such mask), is a clique of G, and ω(G[m]) <=
+      ω(G) - (the number of those singletons);
+    - so cap >= ω(G[m]) is a fact about the mask m alone, whichever path
+      reached it, and the cut it gives drops only splits that do not exist;
+    - so ``dead[m] = r`` stays true for every t, every probe and every path
+      that reaches m.
 
     The T_1 walk is cut by the same edge bound.  With r = t - 1 >= 4, a mask
     R that splits has e(R) - |R| >= need = r(r - 3)/2.  Every T_1 walked
@@ -643,13 +657,14 @@ def has_dominating_kt(
             return False
         return True
 
-    def part(m: int, r: int) -> bool:
-        # m passed ``splits(m, r)``; on success ``chosen`` ends with the r sets
+    def part(m: int, r: int, cap: int) -> bool:
+        # m passed ``splits(m, r)`` and cap >= ω(G[m]); on success ``chosen``
+        # ends with the r sets
         if r == 1:
             chosen.append(m)
             return True
         rest = r - 1
-        limit = _largest_set(adj, m, rest)
+        limit = _largest_set(adj, m, rest, cap)
         u = min(bits(m), key=lambda v: (adj[v] & m).bit_count())
         roots = adj[u] & m | 1 << u
         within = m
@@ -662,7 +677,7 @@ def has_dominating_kt(
                 if nxt & ~nb or not splits(nxt, rest):
                     continue
                 chosen.append(s)
-                if part(nxt, rest):
+                if part(nxt, rest, cap - (s & (s - 1) == 0)):
                     return True
                 chosen.pop()
             within ^= x
@@ -679,13 +694,13 @@ def has_dominating_kt(
     model = None
     try:
         for s, nb in _connected_sets_with_neighbors(
-            g, full, _largest_set(adj, full, rest), None, grows
+            g, full, _largest_set(adj, full, rest, omega), None, grows
         ):
             deadline.tick()
             r_mask = nb & ~s
             if splits(r_mask, rest):
                 chosen.append(s)
-                if part(r_mask, rest):
+                if part(r_mask, rest, omega - (s & (s - 1) == 0)):
                     model = tuple(chosen)
                     break
                 chosen.pop()

@@ -146,10 +146,12 @@ def has_kt_minor(g: Graph, t: int) -> bool:
     the previous set's least vertex.  Sets come from the package's
     connected-set walker, looked up at call time so that a test can count
     its yields.  The walk is cut by the singleton-clique bound of
-    ``exact._largest_set``.  Each walked S is also tested by the K_r edge
-    bound on the next call's ``avail`` (``avail & ~s`` minus every vertex up
-    to the least of S): the ``rest`` sets drawn from it are disjoint and
-    pairwise adjacent, so they need C(rest, 2) edges between them.
+    ``exact._largest_set``, given ``cap=rest``, which leaves the greedy
+    class count as the only bound on the singletons.  Each walked S is also
+    tested by the K_r edge bound on the next call's ``avail`` (``avail &
+    ~s`` minus every vertex up to the least of S): the ``rest`` sets drawn
+    from it are disjoint and pairwise adjacent, so they need C(rest, 2)
+    edges between them.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -165,7 +167,7 @@ def has_kt_minor(g: Graph, t: int) -> bool:
         if remaining == 0:
             return True
         rest = remaining - 1
-        limit = exact._largest_set(adj, avail, rest)
+        limit = exact._largest_set(adj, avail, rest, cap=rest)
         if limit < 1:
             return False
         pairs = rest * (rest - 1) // 2

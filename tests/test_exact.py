@@ -837,7 +837,9 @@ class TestDeadStateMemo:
                     if r:
                         assert not self.brute_splits(g, m, r), (line, m, r)
                         entries += 1
-        assert entries == 19_993  # 23,566 before the T_1 walk's excess cut
+        # 19,993 before the ω cap on the singleton bound, 23,566 before the
+        # T_1 walk's excess cut
+        assert entries == 18_860
 
     def test_invalid_model_raises_without_assert(self, monkeypatch):
         # the model check must hold under ``python -O`` too, so it may not be an assert
@@ -926,6 +928,43 @@ class TestSingletonCliqueBound:
         monkeypatch.setattr(exact_mod, "_connected_sets_with_neighbors", counting)
         assert dominating_hadwiger_number(random_2k2_free(14, 0.3, 1))[0] == 7
         assert yields <= 60_000  # 287,099 without the bound
+
+    def test_omega_cap_cuts_dense_walk(self, monkeypatch):
+        walk = exact_mod._connected_sets_with_neighbors
+        yields = 0
+
+        def counting(*args):
+            nonlocal yields
+            for pair in walk(*args):
+                yields += 1
+                yield pair
+
+        monkeypatch.setattr(exact_mod, "_connected_sets_with_neighbors", counting)
+        assert dominating_hadwiger_number(random_2k2_free(14, 0.4, 3))[0] == 9
+        assert yields <= 1_200  # 4,201 with the greedy class count alone
+
+    def test_cap_bounds_clique_of_mask(self, monkeypatch):
+        # the cap handed to the bound must be at least ω(G[m]) at every call,
+        # whatever path of chosen sets reached m, or the dead memo could
+        # record a mask that splits
+        bound = exact_mod._largest_set
+        graph = None
+        calls = tight = 0
+
+        def checking(adj, m, rest, cap):
+            nonlocal calls, tight
+            omega = clique_number(induced_subgraph(graph, m)[0])[0]
+            assert cap >= omega, (graph, m, rest, cap)
+            calls += 1
+            tight += cap == omega < rest
+            return bound(adj, m, rest, cap)
+
+        monkeypatch.setattr(exact_mod, "_largest_set", checking)
+        graphs = [g for _, g in TestDominatingDecisionsPinned.atlas()]
+        graphs += [make() for _, make in TestDeepSearch.GRAPHS]
+        for graph in graphs:
+            dominating_hadwiger_number(graph)
+        assert calls > 1_000 and tight > 100, (calls, tight)
 
 
 class TestEdgeBound:

@@ -213,7 +213,6 @@ class TestCrossChecks:
         assert set(got) == expected
 
 
-@pytest.mark.skipif(not (DATA / "graphs7.g6").exists(), reason="corpus not generated")
 class TestCorpusInvariants:
     def _corpus(self, n):
         return [parse_graph6(line) for line in (DATA / f"graphs{n}.g6").read_text().split()]
