@@ -536,19 +536,19 @@ def _largest_set(adj: tuple[int, ...], m: int, rest: int, cap: int) -> int:
     return limit
 
 
-def _growth_test(g: Graph, need: int) -> Callable[[int], bool]:
+def _growth_test(g: Graph, need: int, count: Callable[[int], int]) -> Callable[[int], bool]:
     """A test of a connected or empty vertex set S: false only when every R
     outside S has e(R) - |R| < ``need``, which then holds for every
     superset of S too.
 
     With W = V - S, the 2-core of G[W] is peeled only when e(W) - |W|, one
-    step of the graph's :func:`_edge_counter`, falls short of ``need``.
-    That is exact for X = W, so at most the 2-core excess, the largest
-    e(X) - |X| over X inside W: the test is true as often as the peel alone.
+    step of the graph's :func:`_edge_counter` ``count``, falls short of
+    ``need``.  That is exact for X = W, so at most the 2-core excess, the
+    largest e(X) - |X| over X inside W: the test is true as often as the
+    peel alone.
     """
     adj = g.adj
     full = g.full_mask
-    count = _edge_counter(adj)
 
     def grows(s: int) -> bool:
         w = full & ~s
@@ -688,7 +688,7 @@ def has_dominating_kt(
     full = g.full_mask
     grows = None
     if rest >= 4:
-        grows = _growth_test(g, rest * (rest - 3) // 2)
+        grows = _growth_test(g, rest * (rest - 3) // 2, count)
         if not grows(0):
             return None
     model = None

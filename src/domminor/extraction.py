@@ -5,10 +5,10 @@ The module has two entry points, ``extract_dominating(g, trace=None)`` and
 Given a 2K2-free graph G, :func:`extract_dominating` returns a verified
 dominating minor model with exactly chi(G) branch sets.  The algorithm is a
 recursive case analysis; every reduction branch (one helper, ``_reduce``)
-removes a structured vertex set U with chi(G[U]) <= c, prepends c explicit
-branch sets that dominate everything kept, recurses on G - U, and stitches
-the results with :func:`lift_model`.  "Dominates everything kept" is one
-mask: the kept vertices X with no neighbor in a set T are X & ~N(T).
+removes a structured vertex set U with chi(G[U]) <= c, puts c explicit
+branch sets in front that dominate everything kept, recurses on G - U, and
+appends the result.  "Dominates everything kept" is one mask: the kept
+vertices X with no neighbor in a set T are X & ~N(T).
 
 chi(G) is computed once, at the root.  The recursion carries the number of
 sets still owed (``need``): a step that prepends c sets owes need - c to
@@ -41,12 +41,12 @@ analysis: remove an induced P4 with the pair split (v1v2, v3v4) in front
 maximum clique ends it ("clique").  Both extractors write the same kind of
 trace.
 
-Each recursion step is sound by construction and additionally re-verified:
-its prefix must pass the run's exact verifier (an error names the branch),
-the lift re-checks domination of every kept branch set by every prepended
-set, and the final model always passes the exact verifier.  Structural facts
-the analysis forces (e.g. the K4 in the low-degree branch) are asserted; a
-violation raises :class:`InternalContradictionError`, never a wrong model.
+Each recursion step is sound by construction and additionally checked once,
+in ``_reduce``: its prefix must pass the run's exact verifier and dominate
+every vertex the step keeps (an error names the branch), and the final model
+always passes the exact verifier.  Structural facts the analysis forces
+(e.g. the K4 in the low-degree branch) are asserted; a violation raises
+:class:`InternalContradictionError`, never a wrong model.
 More than ``DEFAULT_C5_CAP`` induced C5s raise :class:`EnumerationCapError`,
 a limit (``CapacityError``), not an extraction fault.
 """
@@ -122,10 +122,6 @@ class InternalContradictionError(ExtractionError):
 
 class EnumerationCapError(CapacityError):
     """The induced-C5 enumeration exceeded ``DEFAULT_C5_CAP`` embeddings."""
-
-
-class LiftError(ExtractionError):
-    """Quota or domination failure while stitching a recursion result."""
 
 
 @dataclass
@@ -205,71 +201,48 @@ class _Ctx:
 
 
 # ---------------------------------------------------------------------------
-# model stitching
-# ---------------------------------------------------------------------------
-
-def lift_model(g: Graph, prefix: MinorModel, residual: MinorModel, residual_quota: int) -> MinorModel:
-    """Concatenate ``prefix`` with the last ``residual_quota`` residual sets.
-
-    Dropping leading residual sets is sound because the domination condition
-    only constrains later sets against earlier ones.  Re-verifies that every
-    vertex of every kept residual set has a neighbor in each prefix set.
-    """
-    if residual_quota < 0 or residual_quota > len(residual):
-        raise LiftError(
-            f"residual quota {residual_quota} not available from {len(residual)} residual sets"
-        )
-    kept = residual[len(residual) - residual_quota:]
-    pmask = 0
-    for p in prefix:
-        pmask |= p
-    nbrs = [neighbors_of_set(g, p) for p in prefix]
-    for t in kept:
-        if t & pmask:
-            raise LiftError("residual set overlaps a prefix set")
-        for p, n in zip(prefix, nbrs):
-            bad = t & ~n
-            if bad:
-                v = (bad & -bad).bit_length() - 1
-                raise LiftError(f"kept residual vertex {v} has no neighbor in prefix set {set_to_list(p)}")
-    return tuple(prefix) + kept
-
-
-# ---------------------------------------------------------------------------
 # recursion plumbing
 # ---------------------------------------------------------------------------
 
 def _reduce(
     g: Graph, prefix: MinorModel, removed: int, need: int, ctx: _Ctx, depth: int, branch: str, **extra
 ) -> MinorModel:
-    """One reduction step: put ``prefix`` in front of need - len(prefix) sets
-    of a model of G - ``removed``; once the prefix covers ``need``, no
-    subgraph is built and nothing is recursed on.
+    """One reduction step: ``prefix`` in front of need - len(prefix) sets of
+    a model of G - ``removed``; once the prefix covers ``need``, no subgraph
+    is built and nothing is recursed on.
 
     Any need <= chi(G) is met, by induction: every branch removes a set U with
     chi(G[U]) <= c = len(prefix), so chi(G - U) >= chi(G) - c >= need - c and
-    no residual chi is needed.  The prefix must itself pass the run's
-    verifier, or :class:`InternalContradictionError` names ``branch``, and
-    :func:`lift_model` re-checks that the prefix dominates every kept
-    vertex.  The trace event names the branch and records the prefix and
-    the removed set.
+    no residual chi is needed.  This is the one check of a step: the prefix
+    must pass the run's verifier, and each prefix set T must lie in
+    ``removed`` and dominate every kept vertex (T & keep | keep & ~N(T) is
+    empty), or :class:`InternalContradictionError` names ``branch``.  Then
+    every residual set has a neighbor in every prefix set and meets none, so
+    prefix + residual is a model, and G - ``removed`` is smaller than G.  The
+    trace event names the branch and records the prefix and the removed set.
     """
     report = ctx.verify(g, prefix)
     if not report.valid:
         raise InternalContradictionError(
             f"the {branch} prefix must itself be a model", {"report": report.message}, depth
         )
+    keep = g.full_mask & ~removed
+    for t in prefix:
+        bad = keep & (t | ~neighbors_of_set(g, t))
+        if bad:
+            raise InternalContradictionError(
+                f"the {branch} prefix must dominate every kept vertex and meet none",
+                {"vertex": (bad & -bad).bit_length() - 1, "set": set_to_list(t)},
+                depth,
+            )
     rest = need - len(prefix)
     residual: MinorModel = ()
     if rest > 0:
-        sub, verts = induced_subgraph(g, g.full_mask & ~removed)
-        if sub.n >= g.n:
-            raise InternalContradictionError("recursion must shrink the graph", {"n": g.n}, depth)
+        sub, verts = induced_subgraph(g, keep)
         residual = tuple(relabel_mask(t, verts) for t in _extract(sub, ctx, depth + 1, rest))
-    model = lift_model(g, prefix, residual, max(0, rest))
     if ctx.trace is not None:
         ctx.trace.record(depth, branch, **extra, prefix=[set_to_list(t) for t in prefix], removed=set_to_list(removed))
-    return model
+    return prefix + residual
 
 
 def _pair_kept(g: Graph, d1: int, d2: int) -> int:
@@ -284,25 +257,11 @@ def _attached(g: Graph, cmask: int) -> tuple[int, int]:
     return outside & ~near, outside & near
 
 
-def _require_dominated(g: Graph, keep: int, prefix: MinorModel, invariant: str, depth: int) -> None:
-    """Every vertex of ``keep`` has a neighbor in each prefix set; the error
-    names the least vertex that has not and the first set it misses."""
-    nbrs = [neighbors_of_set(g, t) for t in prefix]
-    bad = 0
-    for n in nbrs:
-        bad |= keep & ~n
-    if bad:
-        v = (bad & -bad).bit_length() - 1
-        t = next(t for t, n in zip(prefix, nbrs) if not n >> v & 1)
-        raise InternalContradictionError(invariant, {"vertex": v, "set": set_to_list(t)}, depth)
-
-
 def _finish(need: int, model: MinorModel, depth: int) -> MinorModel:
     """Trim a possibly oversized model to its last ``need`` sets, the number
     the caller still owes (chi at the root).  Levels are not re-verified one
-    by one: :func:`_reduce` checks each level's prefix, :func:`lift_model`
-    its domination of the kept sets, and the root's verifier the whole
-    model."""
+    by one: :func:`_reduce` checks each level's prefix and its domination of
+    the kept vertices, and the root's verifier the whole model."""
     if len(model) < need:
         raise InternalContradictionError(
             "model smaller than its budget of sets",
@@ -556,7 +515,6 @@ def _build_partition(
     g: Graph, c5: tuple[int, ...], need: int, ctx: _Ctx, depth: int
 ) -> Completed | C5Partition:
     c = tuple(c5)
-    full = g.full_mask
     cmask = mask_of(c)
     iso, h = _attached(g, cmask)
 
@@ -687,15 +645,10 @@ def _build_partition(
             mask_of((c[(i + 4) % 5], w2v)),
             mask_of((c[(i + 1) % 5], w1v)),
         )
-        removed = cmask | iso | (1 << v) | w1 | w2
-        _require_dominated(
-            g, full & ~removed, prefix,
-            "every kept vertex must have a neighbor in each prefix set of the anticomplete-edge branch",
-            depth,
-        )
         return Completed(
             _reduce(
-                g, prefix, removed, need, ctx, depth, "independent_side_edge", c5=list(c), u=u, v=v, klass=i
+                g, prefix, cmask | iso | (1 << v) | w1 | w2, need, ctx, depth, "independent_side_edge",
+                c5=list(c), u=u, v=v, klass=i,
             )
         )
 
@@ -828,7 +781,6 @@ def _final_construction(
         {},
         depth,
     )
-    _require_dominated(g, keep, d, "every kept vertex must have a neighbor in each prefix set", depth)
     return _reduce(
         g, tuple(d), rmask | part.independent, need, ctx, depth, "final_construction",
         m=m, parity="even" if r == 0 else "odd", c5=list(c),

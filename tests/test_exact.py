@@ -524,7 +524,7 @@ class TestConnectedSetWalker:
         """(graph6, graph, within, max_size, root, need, hook name, hook) for
         every atlas graph with n <= 7: three seeded (within, max_size, root)
         triples, each walked without a hook, under the excess cut's hook
-        ``_growth_test(g, need)`` and under a synthetic hook that is not
+        ``_growth_test(g, need, count)`` and under a synthetic hook that is not
         monotone."""
         rng = random.Random(11)
         for n in range(1, 8):
@@ -539,7 +539,7 @@ class TestConnectedSetWalker:
                     need = rng.randint(0, 6)
                     hooks = (
                         ("none", None),
-                        ("excess", exact_mod._growth_test(g, need)),
+                        ("excess", exact_mod._growth_test(g, need, exact_mod._edge_counter(g.adj))),
                         ("synthetic", lambda s: (s * 0x9E3779B1) >> 7 & 3 != 0),
                     )
                     for name, hook in hooks:
@@ -599,9 +599,9 @@ class TestConnectedSetWalker:
         growth_test = exact_mod._growth_test
         hooks: list[Counter] = []
 
-        def counting_growth_test(g, need):
+        def counting_growth_test(g, need, count):
             hooks.append(Counter())
-            return counted(growth_test(g, need), hooks[-1])
+            return counted(growth_test(g, need, count), hooks[-1])
 
         monkeypatch.setattr(exact_mod, "_growth_test", counting_growth_test)
         assert has_dominating_kt(g, 6) is None
@@ -1059,7 +1059,7 @@ class TestExcessCut:
                 edges = exact_mod._edge_counter(g.adj)
                 sets = [0, *enumerate_connected_sets(g)]
                 for need in (2, 5, 9):
-                    grows = exact_mod._growth_test(g, need)
+                    grows = exact_mod._growth_test(g, need, edges)
                     for s in sets:
                         excess = exact_mod._core_excess(g.adj, g.full_mask & ~s, edges)
                         assert grows(s) == (excess >= need), (line, need, s)

@@ -33,13 +33,11 @@ from domminor.extraction import (
     Completed,
     EnumerationCapError,
     InternalContradictionError,
-    LiftError,
     Not2K2FreeError,
     Structure,
     Trace,
     extract_dominating,
     extract_ordinary_minor,
-    lift_model,
 )
 from domminor.generators import (
     banner,
@@ -307,33 +305,28 @@ class TestPartition:
         assert verify_dominating_model(g, model).valid
 
 
-class TestLiftModel:
-    def setup_method(self):
-        self.g = complete(8)
+class TestReduce:
+    """``_reduce`` is the one check that a step dominates what it keeps."""
 
-    def test_keeps_last_quota_sets(self):
-        prefix = (1 << 0, 1 << 1)
-        residual = (1 << 2, 1 << 3, 1 << 4, 1 << 5)
-        model = lift_model(self.g, prefix, residual, 3)
-        assert model == (1 << 0, 1 << 1, 1 << 3, 1 << 4, 1 << 5)
-
-    def test_full_quota_is_concatenation(self):
-        prefix = (1 << 0,)
-        residual = (1 << 2, 1 << 3)
-        assert lift_model(self.g, prefix, residual, 2) == prefix + residual
-
-    def test_quota_too_large(self):
-        with pytest.raises(LiftError):
-            lift_model(self.g, (1 << 0,), (1 << 1,) * 4, 5)
-
-    def test_overlap_rejected(self):
-        with pytest.raises(LiftError):
-            lift_model(self.g, (1 << 0,), (1 << 0,), 1)
-
-    def test_domination_rechecked(self):
+    def test_undominated_kept_vertex_names_branch(self):
         g = from_edge_list(3, [(0, 1)])
-        with pytest.raises(LiftError):
-            lift_model(g, (1 << 0,), (1 << 2,), 1)  # vertex 2 isolated
+        with pytest.raises(InternalContradictionError, match="the probe prefix") as err:
+            ex._reduce(g, (1 << 0,), 1 << 0, 2, ex._Ctx(), 0, "probe")
+        assert err.value.context == {"vertex": 2, "set": [0]}  # vertex 2 is isolated
+
+    def test_prefix_meeting_kept_set(self):
+        with pytest.raises(InternalContradictionError, match="the probe prefix") as err:
+            ex._reduce(complete(4), (0b0011,), 1 << 0, 2, ex._Ctx(), 0, "probe")
+        assert err.value.context == {"vertex": 1, "set": [0, 1]}
+
+    def test_covered_need_builds_no_subgraph(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("induced_subgraph called")
+
+        monkeypatch.setattr(ex, "induced_subgraph", refuse)
+        prefix = (1 << 0, 1 << 1, 1 << 2)
+        for need in (2, 3):
+            assert ex._reduce(complete(4), prefix, 0b0111, need, ex._Ctx(), 0, "probe") == prefix
 
 
 class TestOrdinaryExtraction:
