@@ -23,7 +23,7 @@ from .extraction import (
     extract_ordinary_minor,
 )
 from .graphs import Graph, complement, emit_graph6, from_edge_list, induced_subgraph, parse_graph6
-from .patterns import find_2k2, find_banner, find_induced, is_2k2_free, is_split_graph
+from .patterns import find_2k2, find_banner, find_induced, is_2k2_free
 
 __all__ = [
     "Graph",
@@ -44,7 +44,6 @@ __all__ = [
     "find_2k2",
     "find_banner",
     "is_2k2_free",
-    "is_split_graph",
     "extract_dominating",
     "extract_ordinary_minor",
     "Trace",

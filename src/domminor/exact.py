@@ -410,14 +410,6 @@ def chromatic_number(g: Graph, deadline: Deadline | None = None) -> tuple[int, t
     return k, tuple(colors)
 
 
-def is_proper_coloring(g: Graph, colors: tuple[int, ...], k: int) -> bool:
-    if len(colors) != g.n:
-        return False
-    if any(not 0 <= c < k for c in colors):
-        return False
-    return all(colors[u] != colors[v] for u, v in g.edges())
-
-
 # ---------------------------------------------------------------------------
 # connected-set enumeration
 # ---------------------------------------------------------------------------

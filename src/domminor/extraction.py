@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Union
 
 from .exact import (
     CapacityError,
@@ -75,8 +74,6 @@ from .graphs import (
     set_to_list,
 )
 from .patterns import (
-    Embedding,
-    banner_pattern,
     find_2k2,
     find_banner,
     find_induced,
@@ -84,7 +81,6 @@ from .patterns import (
     has_induced_c5,
     induced_c5_iter,
     path_pattern,
-    verify_embedding,
 )
 
 DEFAULT_C5_CAP = 1_000_000
@@ -145,40 +141,11 @@ class Trace:
 
 
 @dataclass(frozen=True)
-class Completed:
-    """A finished dominating model for the whole input of the current step."""
-
-    model: MinorModel
-
-
-@dataclass(frozen=True)
 class Structure:
     """The banner step's apex pair: b4, b5 extend the banner to its forced host."""
 
     b4: int
     b5: int
-
-
-BannerOutcome = Union[Completed, Structure]
-
-
-@dataclass(frozen=True)
-class C5Partition:
-    """The fully regular decomposition around an induced 5-cycle.
-
-    ``cycle`` lists the 5 cycle vertices in cyclic order; ``independent`` is
-    the set anticomplete to the cycle; ``complete_side`` the set complete to
-    it; ``classes[i]`` the vertices adjacent to all cycle vertices except
-    ``cycle[i]``.  All five classes are cliques of one common size ``m >= 2``,
-    classes two apart are complete to each other, and between consecutive
-    classes non-adjacency is a perfect matching.
-    """
-
-    cycle: tuple[int, int, int, int, int]
-    independent: int
-    complete_side: int
-    classes: tuple[int, int, int, int, int]
-    m: int
 
 
 class _Ctx:
@@ -257,20 +224,6 @@ def _attached(g: Graph, cmask: int) -> tuple[int, int]:
     return outside & ~near, outside & near
 
 
-def _finish(need: int, model: MinorModel, depth: int) -> MinorModel:
-    """Trim a possibly oversized model to its last ``need`` sets, the number
-    the caller still owes (chi at the root).  Levels are not re-verified one
-    by one: :func:`_reduce` checks each level's prefix and its domination of
-    the kept vertices, and the root's verifier the whole model."""
-    if len(model) < need:
-        raise InternalContradictionError(
-            "model smaller than its budget of sets",
-            {"need": need, "got": len(model)},
-            depth,
-        )
-    return model[len(model) - need:]
-
-
 def _require(ok: bool, invariant: str, context: dict, depth: int) -> None:
     if not ok:
         raise InternalContradictionError(invariant, context, depth)
@@ -282,8 +235,8 @@ def _require(ok: bool, invariant: str, context: dict, depth: int) -> None:
 
 def _apex_or_complete(
     g: Graph, banner: tuple[int, int, int, int, int], need: int, ctx: _Ctx, depth: int
-) -> Completed | int:
-    """One orientation of the banner step.
+) -> MinorModel | int:
+    """One orientation of the banner step: the apex, or a model.
 
     Looks for an apex adjacent to exactly {b, b1} among the banner and to
     nothing in {b2, b3, bp}.  If none exists, the graph splits: everything
@@ -304,21 +257,20 @@ def _apex_or_complete(
     d1 = mask_of((b1, b, bp))
     d2 = mask_of((b2, b3))
     removed = g.full_mask & ~_pair_kept(g, d1, d2)
-    return Completed(_reduce(g, (d1, d2), removed, need, ctx, depth, "banner_completed", banner=list(banner)))
+    return _reduce(g, (d1, d2), removed, need, ctx, depth, "banner_completed", banner=list(banner))
 
 
 def _banner_step(
     g: Graph, banner: tuple[int, int, int, int, int], need: int, ctx: _Ctx, depth: int
-) -> BannerOutcome:
+) -> MinorModel | Structure:
+    """A model from either orientation of the banner, or the apex pair both force."""
     b1, b2, b3, b, bp = banner
-    out5 = _apex_or_complete(g, banner, need, ctx, depth)
-    if isinstance(out5, Completed):
-        return out5
-    b5 = out5
-    out4 = _apex_or_complete(g, (b3, b2, b1, b, bp), need, ctx, depth)
-    if isinstance(out4, Completed):
-        return out4
-    b4 = out4
+    b5 = _apex_or_complete(g, banner, need, ctx, depth)
+    if not isinstance(b5, int):
+        return b5
+    b4 = _apex_or_complete(g, (b3, b2, b1, b, bp), need, ctx, depth)
+    if not isinstance(b4, int):
+        return b4
     _require(
         b4 != b5 and g.has_edge(b4, b5),
         "the two banner apexes must be adjacent (a 2K2 would exist)",
@@ -327,6 +279,19 @@ def _banner_step(
     )
     ctx.record(depth, "banner_structure", banner=list(banner), b4=b4, b5=b5)
     return Structure(b4=b4, b5=b5)
+
+
+def _banner_model(
+    g: Graph, banner: tuple[int, ...], need: int, ctx: _Ctx, depth: int, invariant: str, context: dict
+) -> MinorModel:
+    """The banner step where its apex pair cannot exist, so it must return a
+    model: in a C5-free host the pair would force an induced C5, and after
+    the low-degree phase every vertex sees 0, 4 or 5 vertices of every
+    induced C5, while an apex would see 1..3.  A pair raises ``invariant``."""
+    out = _banner_step(g, banner, need, ctx, depth)
+    if isinstance(out, Structure):
+        raise InternalContradictionError(invariant, context | {"banner": list(banner)}, depth)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +383,8 @@ def _low_degree_c5(
 
     banner1 = (x, c[0], c[1], c[2], c[3])
     out1 = _banner_step(g, banner1, need, ctx, depth)
-    if isinstance(out1, Completed):
-        return out1.model
+    if not isinstance(out1, Structure):
+        return out1
     z, y = out1.b4, out1.b5
     _require(
         not g.has_edge(x, c[4]),
@@ -430,8 +395,8 @@ def _low_degree_c5(
     )
     banner2 = (x, c[2], c[1], c[0], c[4])
     out2 = _banner_step(g, banner2, need, ctx, depth)
-    if isinstance(out2, Completed):
-        return out2.model
+    if not isinstance(out2, Structure):
+        return out2
     u, w = out2.b4, out2.b5
 
     quad = (y, z, u, w)
@@ -483,37 +448,12 @@ def _low_degree_c5(
 # C5 partition and its side branches
 # ---------------------------------------------------------------------------
 
-def _partition_fallback_banner(
-    g: Graph,
-    banner: tuple[int, int, int, int, int],
-    need: int,
-    ctx: _Ctx,
-    depth: int,
-    invariant: str,
-    context: dict,
-) -> Completed:
-    """Run the banner step where the regular shape is violated.
-
-    Because every vertex sees 0, 4 or 5 vertices of every induced C5 at this
-    point, the apex-pair outcome is impossible (an apex would see 1..3), so
-    the step must complete; anything else is a genuine contradiction.
-    """
-    pat = banner_pattern()
-    _require(
-        verify_embedding(g, pat, Embedding(pat.roles, banner)),
-        invariant + " (fallback banner is not induced)",
-        context | {"banner": banner},
-        depth,
-    )
-    out = _banner_step(g, banner, need, ctx, depth)
-    if isinstance(out, Completed):
-        return out
-    raise InternalContradictionError(invariant, context | {"banner": banner}, depth)
-
-
 def _build_partition(
     g: Graph, c5: tuple[int, ...], need: int, ctx: _Ctx, depth: int
-) -> Completed | C5Partition:
+) -> MinorModel:
+    """Sort the vertices around the induced C5 ``c5`` into the anticomplete
+    side, the complete side and the five miss-classes, take the first side
+    branch whose shape fits, and otherwise the final construction."""
     c = tuple(c5)
     cmask = mask_of(c)
     iso, h = _attached(g, cmask)
@@ -533,23 +473,23 @@ def _build_partition(
             j &= ~(1 << v)
     ymask = y[0] | y[1] | y[2] | y[3] | y[4]
 
-    # each miss-class must be a clique; a non-edge spawns a banner
+    # each miss-class must be a clique; a non-edge a, b spawns the banner
+    # a c[i+3] b c[i+1] with pendant c[i], induced because a and b miss only
+    # c[i] and the cycle is induced
     for i in range(5):
         for a in bits(y[i]):
             non = y[i] & ~g.adj[a] & ~(1 << a)
             if non:
                 b = (non & -non).bit_length() - 1
                 banner = (a, c[(i + 3) % 5], b, c[(i + 1) % 5], c[i])
-                return _partition_fallback_banner(
-                    g, banner, need, ctx, depth,
-                    "each miss-class must be a clique",
-                    {"class": i, "pair": (a, b)},
+                return _banner_model(
+                    g, banner, need, ctx, depth, "each miss-class must be a clique", {"class": i, "pair": (a, b)}
                 )
 
     # all classes empty: remove cycle plus anticomplete side, three-set prefix
     if ymask == 0:
         prefix = (mask_of((c[0], c[1], c[2])), 1 << c[3], 1 << c[4])
-        return Completed(_reduce(g, prefix, cmask | iso, need, ctx, depth, "y_empty", c5=list(c)))
+        return _reduce(g, prefix, cmask | iso, need, ctx, depth, "y_empty", c5=list(c))
 
     # a singleton class, or an empty class right after a non-empty one
     for a in range(5):
@@ -574,11 +514,8 @@ def _build_partition(
             variant = "next_empty"
         else:
             continue
-        return Completed(
-            _reduce(
-                g, prefix, cmask | iso | (1 << yv), need, ctx, depth, "y_small",
-                variant=variant, c5=list(c), klass=a,
-            )
+        return _reduce(
+            g, prefix, cmask | iso | (1 << yv), need, ctx, depth, "y_small", variant=variant, c5=list(c), klass=a
         )
 
     # every vertex on the complete side misses at most one vertex per class
@@ -645,11 +582,9 @@ def _build_partition(
             mask_of((c[(i + 4) % 5], w2v)),
             mask_of((c[(i + 1) % 5], w1v)),
         )
-        return Completed(
-            _reduce(
-                g, prefix, cmask | iso | (1 << v) | w1 | w2, need, ctx, depth, "independent_side_edge",
-                c5=list(c), u=u, v=v, klass=i,
-            )
+        return _reduce(
+            g, prefix, cmask | iso | (1 << v) | w1 | w2, need, ctx, depth, "independent_side_edge",
+            c5=list(c), u=u, v=v, klass=i,
         )
 
     # a class vertex complete to a consecutive class collapses three classes
@@ -670,11 +605,9 @@ def _build_partition(
                     mask_of((yfar, c[a])),
                 )
                 smask = mask_of((c[a], cnb, cfar, yv, ynb, yfar))
-                return Completed(
-                    _reduce(
-                        g, prefix, smask | iso, need, ctx, depth, "y_complete_neighbor",
-                        c5=list(c), klass=a, direction=direction, vertex=yv,
-                    )
+                return _reduce(
+                    g, prefix, smask | iso, need, ctx, depth, "y_complete_neighbor",
+                    c5=list(c), klass=a, direction=direction, vertex=yv,
                 )
 
     sizes = [y[i].bit_count() for i in range(5)]
@@ -711,42 +644,32 @@ def _build_partition(
             )
 
     ctx.record(depth, "c5_partition", c5=list(c), m=m)
-    return C5Partition(c, iso, j, tuple(y), m)
+    return _final_construction(g, c, iso, y, m, need, ctx, depth)
 
 
 # ---------------------------------------------------------------------------
 # final (2m+2)-set construction
 # ---------------------------------------------------------------------------
 
-def _unique_nonneighbor(g: Graph, v: int, klass: int, depth: int) -> int:
-    non = klass & ~g.adj[v]
-    _require(
-        non.bit_count() == 1,
-        "matching relabeling needs exactly one non-neighbor per consecutive class",
-        {"vertex": v, "class": set_to_list(klass)},
-        depth,
-    )
-    return (non & -non).bit_length() - 1
-
-
 def _final_construction(
-    g: Graph, part: C5Partition, need: int, ctx: _Ctx, depth: int
+    g: Graph, c: tuple[int, ...], iso: int, y: list[int], m: int, need: int, ctx: _Ctx, depth: int
 ) -> MinorModel:
-    c = part.cycle
-    y = part.classes
-    m = part.m
-    full = g.full_mask
+    """The (2m+2)-set prefix of the fully regular decomposition around an
+    induced 5-cycle.
 
+    ``c`` lists the 5 cycle vertices in cyclic order; ``iso`` is the set
+    anticomplete to the cycle; ``y[i]`` the vertices adjacent to all cycle
+    vertices except ``c[i]``.  All five classes are cliques of one common
+    size ``m >= 2``, classes two apart are complete to each other, and
+    between consecutive classes non-adjacency is a perfect matching
+    (:func:`_build_partition` checked each), so every vertex of y[1] has one
+    non-neighbor in y[0] and one in y[2].  The prefix covers c[0..3] and
+    y[0..3], which go with ``iso``; the complete side, c[4] and y[4] are kept.
+    """
     y2 = set_to_list(y[1])
-    y1 = [_unique_nonneighbor(g, v, y[0], depth) for v in y2]
-    y3 = [_unique_nonneighbor(g, v, y[2], depth) for v in y2]
+    y1 = [(y[0] & ~g.adj[v]).bit_length() - 1 for v in y2]
+    y3 = [(y[2] & ~g.adj[v]).bit_length() - 1 for v in y2]
     y4 = set_to_list(y[3])
-    _require(
-        mask_of(y1) == y[0] and mask_of(y3) == y[2],
-        "the non-adjacency matchings must be perfect",
-        {"m": m},
-        depth,
-    )
 
     p, r = divmod(m, 2)
     d: list[int] = []
@@ -763,26 +686,9 @@ def _final_construction(
         d.append(mask_of((y1[ell], y3[ell])))
     d.append(1 << c[0])
 
-    rmask = mask_of(c[:4]) | y[0] | y[1] | y[2] | y[3]
-    union = 0
-    for t in d:
-        _require(union & t == 0, "prefix sets must be disjoint", {"m": m}, depth)
-        union |= t
-    _require(
-        len(d) == 2 * m + 2 and union == rmask,
-        "the prefix must cover the four cycle vertices and four classes exactly",
-        {"m": m, "count": len(d)},
-        depth,
-    )
-    keep = (1 << c[4]) | y[4] | part.complete_side
-    _require(
-        keep == full & ~(rmask | part.independent),
-        "removed and kept sets must partition the graph",
-        {},
-        depth,
-    )
+    removed = mask_of(c[:4]) | y[0] | y[1] | y[2] | y[3] | iso
     return _reduce(
-        g, tuple(d), rmask | part.independent, need, ctx, depth, "final_construction",
+        g, tuple(d), removed, need, ctx, depth, "final_construction",
         m=m, parity="even" if r == 0 else "odd", c5=list(c),
     )
 
@@ -821,11 +727,20 @@ def _scan_c5s(g: Graph) -> tuple[tuple[int, ...] | None, tuple[tuple[int, ...], 
 
 
 def _extract(g: Graph, ctx: _Ctx, depth: int, need: int) -> MinorModel:
-    """``need`` sets of a model of ``g``, for any need <= chi(g) (see :func:`_reduce`)."""
+    """``need`` sets of a model of ``g``, for any need <= chi(g) (see :func:`_reduce`).
+
+    The case analysis returns at least ``need`` sets (a :func:`_reduce` prefix
+    with the residual it owes, or a clique of size omega >= need) and the
+    last ``need`` of them are kept.  Levels are not re-verified one by one:
+    :func:`_reduce` checks each level's prefix and its domination of the kept
+    vertices; a model short of ``need`` stays short, and the root's check
+    ``len(model) == chi`` with the run's verifier refuses it.
+    """
     if g.n == 0:
         ctx.record(depth, "empty")
         return ()
-    return _finish(need, ctx.branch(g, need, ctx, depth), depth)
+    model = ctx.branch(g, need, ctx, depth)
+    return model[len(model) - need:]
 
 
 def _branch(g: Graph, need: int, ctx: _Ctx, depth: int) -> MinorModel:
@@ -841,14 +756,9 @@ def _branch(g: Graph, need: int, ctx: _Ctx, depth: int) -> MinorModel:
     if first_c5 is None:
         b = find_banner(g)
         if b is not None:
-            out = _banner_step(g, b.vertices, need, ctx, depth)
-            if isinstance(out, Structure):
-                raise InternalContradictionError(
-                    "the banner step cannot produce an apex pair in a C5-free host",
-                    {"banner": list(b.vertices)},
-                    depth,
-                )
-            return out.model
+            return _banner_model(
+                g, b.vertices, need, ctx, depth, "the banner step cannot produce an apex pair in a C5-free host", {}
+            )
         c4 = find_induced_cycle(g, 4)
         if c4 is not None:
             return _c4_reduction(g, c4.vertices, need, ctx, depth)
@@ -862,10 +772,7 @@ def _branch(g: Graph, need: int, ctx: _Ctx, depth: int) -> MinorModel:
     if low is not None:
         return _low_degree_c5(g, low[0], low[1], need, ctx, depth)
 
-    out = _build_partition(g, first_c5, need, ctx, depth)
-    if isinstance(out, Completed):
-        return out.model
-    return _final_construction(g, out, need, ctx, depth)
+    return _build_partition(g, first_c5, need, ctx, depth)
 
 
 def _extract_verified(g: Graph, ctx: _Ctx) -> MinorModel:

@@ -226,12 +226,3 @@ def induced_c5_iter(host: Graph) -> Iterator[tuple[int, ...]]:
 
 def has_induced_c5(host: Graph) -> bool:
     return next(induced_c5_iter(host), None) is not None
-
-
-def is_split_graph(host: Graph) -> bool:
-    """Recognition via the forbidden induced subgraphs 2K2, C4 and C5."""
-    if find_2k2(host) is not None:
-        return False
-    if find_induced_cycle(host, 4) is not None:
-        return False
-    return not has_induced_c5(host)

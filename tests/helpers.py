@@ -10,7 +10,8 @@ test_extraction and reused by the acceptance suite's branch-coverage check.
 every t by exhaustive search.  The package decides them only for t <= 3, by
 closed forms (:func:`domminor.exact.has_kt_minor`); this search is the
 oracle those closed forms and the ordinary-side acceptance checks compare
-against.
+against.  ``is_proper_coloring`` checks the colorings that
+:func:`domminor.exact.chromatic_number` returns.
 """
 
 import itertools
@@ -136,6 +137,14 @@ def perturbed_host(seed: int) -> Graph:
     if rng.below(2):
         g = join(g, random_2k2_free(1 + rng.below(6), (0.2, 0.4, 0.6)[rng.below(3)], rng.next_u64()))
     return g
+
+
+def is_proper_coloring(g: Graph, colors: tuple[int, ...], k: int) -> bool:
+    if len(colors) != g.n:
+        return False
+    if any(not 0 <= c < k for c in colors):
+        return False
+    return all(colors[u] != colors[v] for u, v in g.edges())
 
 
 def has_kt_minor(g: Graph, t: int) -> bool:

@@ -21,6 +21,7 @@ from helpers import (
     final_host,
     forced_k4_host,
     has_kt_minor,
+    is_proper_coloring,
     singleton_class_host,
 )
 
@@ -29,7 +30,6 @@ from domminor.exact import (
     clique_number,
     dominating_hadwiger_number,
     has_dominating_kt,
-    is_proper_coloring,
     verify_dominating_model,
     verify_ordinary_model,
 )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import hadwiger_number, has_kt_minor
+from helpers import hadwiger_number, has_kt_minor, is_proper_coloring
 
 import domminor.exact as exact_mod
 from domminor.exact import (
@@ -22,7 +22,6 @@ from domminor.exact import (
     enumerate_connected_sets,
     has_dominating_kt,
     independence_number,
-    is_proper_coloring,
     model_from_lists,
     model_to_lists,
     verify_dominating_model,

@@ -29,8 +29,6 @@ from domminor.exact import (
     verify_ordinary_model,
 )
 from domminor.extraction import (
-    C5Partition,
-    Completed,
     EnumerationCapError,
     InternalContradictionError,
     Not2K2FreeError,
@@ -190,10 +188,9 @@ class TestBannerStep:
     def test_banner_alone_completes(self):
         g = banner()
         emb = find_banner(g)
-        out = ex._banner_step(g, emb.vertices, chi_of(g), ex._Ctx(), 0)
-        assert isinstance(out, Completed)
-        assert model_to_lists(out.model) == [[0, 3, 4], [1, 2]]
-        assert verify_dominating_model(g, out.model).valid
+        model = ex._banner_step(g, emb.vertices, chi_of(g), ex._Ctx(), 0)
+        assert model_to_lists(model) == [[0, 3, 4], [1, 2]]
+        assert verify_dominating_model(g, model).valid
 
     def test_t_graph_yields_structure(self):
         g = t_graph()
@@ -213,9 +210,7 @@ class TestBannerStep:
         [event] = [e for e in tr.events if e["branch"] == "banner_completed"]
         assert model_to_lists(model)[:2] == event["prefix"]
         assert verify_dominating_model(g, model).valid
-        out = ex._banner_step(g, tuple(event["banner"]), chi_of(g), ex._Ctx(), 0)
-        assert isinstance(out, Completed)
-        assert out.model == model
+        assert ex._banner_step(g, tuple(event["banner"]), chi_of(g), ex._Ctx(), 0) == model
 
 
 class TestC4Reduction:
@@ -276,33 +271,30 @@ class TestLowDegreeStep:
 
 class TestPartition:
     def test_c5_routes_to_y_empty(self):
-        out = ex._build_partition(cycle(5), (0, 1, 2, 3, 4), 3, ex._Ctx(), 0)
-        assert isinstance(out, Completed)
-        assert model_to_lists(out.model) == [[0, 1, 2], [3], [4]]
+        model = ex._build_partition(cycle(5), (0, 1, 2, 3, 4), 3, ex._Ctx(), 0)
+        assert model_to_lists(model) == [[0, 1, 2], [3], [4]]
 
-    def test_blowup_partition_shape(self):
-        g = final_host(2)
-        out = ex._build_partition(g, (0, 1, 2, 3, 4), chi_of(g), ex._Ctx(), 0)
-        assert isinstance(out, C5Partition)
-        assert out.m == 2
-        assert out.independent == 0
-        assert out.complete_side == mask_of(range(15, 20))
-        # between consecutive classes, non-adjacency is a perfect matching
-        from domminor.graphs import bits
-
-        for i in range(5):
-            ya = out.classes[i]
-            yb = out.classes[(i + 1) % 5]
-            for v in bits(ya):
-                assert (yb & ~g.adj[v]).bit_count() == 1
-
-    def test_final_construction_from_partition(self):
+    def test_blowup_final_construction(self):
         g = final_host(2)
         chi = chi_of(g)
-        part = ex._build_partition(g, (0, 1, 2, 3, 4), chi, ex._Ctx(), 0)
-        model = ex._final_construction(g, part, chi, ex._Ctx(), 0)
+        tr = Trace()
+        model = ex._build_partition(g, (0, 1, 2, 3, 4), chi, ex._Ctx(tr), 0)
         assert len(model) == chi
         assert verify_dominating_model(g, model).valid
+        top = {e["branch"]: e for e in tr.events if e["depth"] == 0}
+        assert top["c5_partition"]["m"] == top["final_construction"]["m"] == 2
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_rotated_classes_fail_in_reduce(self, m):
+        # the construction trusts its classes; _reduce is the one check that
+        # refuses a prefix built from classes off by one around the cycle
+        g = final_host(m)
+        chi = chi_of(g)
+        c = (0, 1, 2, 3, 4)
+        y = [mask_of(range(5 + m * i, 5 + m * (i + 1))) for i in range(5)]
+        assert verify_dominating_model(g, ex._final_construction(g, c, 0, y, m, chi, ex._Ctx(), 0)).valid
+        with pytest.raises(InternalContradictionError, match="final_construction"):
+            ex._final_construction(g, c, 0, y[1:] + y[:1], m, chi, ex._Ctx(), 0)
 
 
 class TestReduce:

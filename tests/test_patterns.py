@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 from pathlib import Path
 
 import pytest
@@ -6,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import domminor.patterns as patterns_mod
-from domminor.graphs import Graph, complement, from_edge_list, mask_of, parse_graph6
+from domminor.cli import main
+from domminor.graphs import Graph, complement, emit_graph6, from_edge_list, mask_of, parse_graph6
 from domminor.patterns import (
     Embedding,
     Pattern,
@@ -19,7 +23,6 @@ from domminor.patterns import (
     has_induced_c5,
     induced_c5_iter,
     is_2k2_free,
-    is_split_graph,
     path_pattern,
     two_k2_pattern,
     verify_embedding,
@@ -156,14 +159,22 @@ class TestSpecializedScans:
         assert has_induced_c5(PETERSEN)
 
 
+def is_split(g):
+    """``domminor analyze``'s split verdict: no induced 2K2, C4 or C5."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", emit_graph6(g)]) == 0
+    return json.loads(out.getvalue())["is_split"]
+
+
 class TestSplitRecognition:
     def test_k4_plus_pendant(self):
         g = from_edge_list(5, list(itertools.combinations(range(4), 2)) + [(0, 4)])
-        assert is_split_graph(g)
+        assert is_split(g)
 
     def test_c4_c5_not_split(self):
-        assert not is_split_graph(C4)
-        assert not is_split_graph(C5)
+        assert not is_split(C4)
+        assert not is_split(C5)
 
     @settings(max_examples=200, deadline=None)
     @given(random_graphs(max_n=12))
@@ -178,7 +189,7 @@ class TestSplitRecognition:
                 m = i
         lhs = sum(d[:m])
         rhs = m * (m - 1) + sum(d[m:])
-        assert is_split_graph(g) == (lhs == rhs)
+        assert is_split(g) == (lhs == rhs)
 
 
 class TestCrossChecks:
