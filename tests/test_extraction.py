@@ -47,7 +47,7 @@ from domminor.generators import (
     t_graph,
     two_k2,
 )
-from domminor.graphs import complement, emit_graph6, from_edge_list, mask_of, parse_graph6
+from domminor.graphs import bits, complement, emit_graph6, from_edge_list, mask_of, parse_graph6
 from domminor.patterns import find_banner, find_induced_cycle, is_2k2_free
 
 
@@ -274,7 +274,28 @@ class TestPartition:
         model = ex._build_partition(cycle(5), (0, 1, 2, 3, 4), 3, ex._Ctx(), 0)
         assert model_to_lists(model) == [[0, 1, 2], [3], [4]]
 
-    def test_blowup_final_construction(self):
+    def test_blowup_partition_shape(self, monkeypatch):
+        seen = {}
+        real = ex._final_construction
+
+        def spy(g, c, iso, y, m, need, ctx, depth):
+            seen.update(c=c, iso=iso, y=list(y), m=m)
+            return real(g, c, iso, y, m, need, ctx, depth)
+
+        monkeypatch.setattr(ex, "_final_construction", spy)
+        g = final_host(2)
+        ex._build_partition(g, (0, 1, 2, 3, 4), chi_of(g), ex._Ctx(), 0)
+        assert seen["m"] == 2
+        assert seen["iso"] == 0
+        y = seen["y"]
+        complete_side = g.full_mask & ~mask_of(seen["c"]) & ~(y[0] | y[1] | y[2] | y[3] | y[4])
+        assert complete_side == mask_of(range(15, 20))
+        # between consecutive classes, non-adjacency is a perfect matching
+        for i in range(5):
+            for v in bits(y[i]):
+                assert (y[(i + 1) % 5] & ~g.adj[v]).bit_count() == 1
+
+    def test_final_construction_from_partition(self):
         g = final_host(2)
         chi = chi_of(g)
         tr = Trace()
