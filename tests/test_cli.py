@@ -30,6 +30,18 @@ class TestAnalyze:
         assert obj["found_patterns"]["c5"] is not None
         assert obj["found_patterns"]["two_k2"] is None
 
+    def test_found_patterns_pinned(self, capsys):
+        # every witness, its role names and their order, on the t-graph and on C6
+        pins = {
+            "FhewG": '{"two_k2": null, "c4": {"c0": 0, "c1": 1, "c2": 2, "c3": 5}, '
+            '"c5": {"c0": 0, "c1": 1, "c2": 2, "c3": 3, "c4": 4}, '
+            '"banner": {"b1": 0, "b2": 1, "b3": 2, "b": 5, "bp": 6}}',
+            "EhEG": '{"two_k2": {"a1": 0, "a2": 1, "b1": 3, "b2": 4}, "c4": null, "c5": null, "banner": null}',
+        }
+        for g6, want in pins.items():
+            code, obj = run_json(capsys, "analyze", g6)
+            assert code == 0 and json.dumps(obj["found_patterns"]) == want
+
     def test_k2(self, capsys):
         code, obj = run_json(capsys, "analyze", "A_")
         assert code == 0 and obj["n"] == 2 and obj["m"] == 1
