@@ -80,12 +80,14 @@ def _cmd_analyze(args) -> int:
     c4 = patterns.find_induced_cycle(g, 4)
     c5 = patterns.find_induced_cycle(g, 5)
     ban = patterns.find_banner(g)
-    found = {
-        "two_k2": w2.as_dict() if w2 else None,
-        "c4": c4.as_dict() if c4 else None,
-        "c5": c5.as_dict() if c5 else None,
-        "banner": ban.as_dict() if ban else None,
+    # each witness with the role names of its positions, in template order
+    witnesses = {
+        "two_k2": (w2, ("a1", "a2", "b1", "b2")),
+        "c4": (c4, ("c0", "c1", "c2", "c3")),
+        "c5": (c5, ("c0", "c1", "c2", "c3", "c4")),
+        "banner": (ban, ("b1", "b2", "b3", "b", "bp")),
     }
+    found = {key: None if w is None else dict(zip(names, w)) for key, (w, names) in witnesses.items()}
     obj = {
         "schema": "domminor/analyze/v1",
         "n": g.n,

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .graphs import (
-    Graph, _reach, bits, connected_components, graph_memo, is_connected_set, mask_of, neighbors_of_set, set_to_list,
+    Graph, _reach, bits, complement, connected_components, graph_memo, induced_subgraph, is_connected_set, mask_of,
+    neighbors_of_set, set_to_list,
 )
 
 DEFAULT_SEARCH_CAP = 16
@@ -285,8 +286,6 @@ def clique_number(g: Graph, _ub: int | None = None) -> tuple[int, int]:
 
 def independence_number(g: Graph) -> tuple[int, int]:
     """Exact independence number via the complement's clique number."""
-    from .graphs import complement
-
     return clique_number(complement(g))
 
 
@@ -383,8 +382,6 @@ def chromatic_number(g: Graph, deadline: Deadline | None = None) -> tuple[int, t
     computation, so a remembered answer is returned whatever the deadline,
     and a call that raises :class:`SearchDeadlineExceeded` is not remembered.
     """
-    from .graphs import induced_subgraph
-
     if g.n == 0:
         return 0, ()
     deadline = deadline or Deadline(None)

@@ -80,7 +80,7 @@ from .patterns import (
     find_induced_cycle,
     has_induced_c5,
     induced_c5_iter,
-    path_pattern,
+    path_template,
 )
 
 DEFAULT_C5_CAP = 1_000_000
@@ -129,15 +129,9 @@ class Trace:
     def record(self, depth: int, branch: str, **extra) -> None:
         self.events.append({"depth": depth, "branch": branch, **extra})
 
-    def branches(self) -> set[str]:
-        return {e["branch"] for e in self.events}
-
-    def to_jsonl(self) -> str:
-        return "".join(json.dumps(e) + "\n" for e in self.events)
-
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
+            fh.writelines(json.dumps(e) + "\n" for e in self.events)
 
 
 @dataclass(frozen=True)
@@ -757,11 +751,11 @@ def _branch(g: Graph, need: int, ctx: _Ctx, depth: int) -> MinorModel:
         b = find_banner(g)
         if b is not None:
             return _banner_model(
-                g, b.vertices, need, ctx, depth, "the banner step cannot produce an apex pair in a C5-free host", {}
+                g, b, need, ctx, depth, "the banner step cannot produce an apex pair in a C5-free host", {}
             )
         c4 = find_induced_cycle(g, 4)
         if c4 is not None:
-            return _c4_reduction(g, c4.vertices, need, ctx, depth)
+            return _c4_reduction(g, c4, need, ctx, depth)
         # {2K2, C4, C5}-free, hence split and perfect: omega = chi >= need returned above
         raise InternalContradictionError(
             "split graphs are perfect, so the clique covers the budget of sets",
@@ -780,7 +774,7 @@ def _extract_verified(g: Graph, ctx: _Ctx) -> MinorModel:
     then the run's verifier on the whole model."""
     w = find_2k2(g)
     if w is not None:
-        raise Not2K2FreeError(w.vertices)
+        raise Not2K2FreeError(w)
     chi, _ = chromatic_number(g)
     model = _extract(g, ctx, 0, chi)
     report = ctx.verify(g, model)
@@ -812,14 +806,14 @@ def _p4_branch(g: Graph, need: int, ctx: _Ctx, depth: int) -> MinorModel:
     """The ordinary case analysis: an induced P4 v1v2v3v4 goes with everything
     anticomplete to {v1, v2} or to {v3, v4} (a 2-chromatic chunk) and the two
     pairs go in front; P4-free graphs are perfect, so a maximum clique ends it."""
-    p4 = find_induced(g, path_pattern(4))
+    p4 = find_induced(g, path_template(4))
     if p4 is None:
         omega, cmask = clique_number(g)
         return _clique_model(need, omega, cmask, ctx, depth, "clique")
-    v1, v2, v3, v4 = p4.vertices
+    v1, v2, v3, v4 = p4
     d1, d2 = mask_of((v1, v2)), mask_of((v3, v4))
     removed = g.full_mask & ~_pair_kept(g, d1, d2)
-    return _reduce(g, (d1, d2), removed, need, ctx, depth, "p4_removal", p4=list(p4.vertices))
+    return _reduce(g, (d1, d2), removed, need, ctx, depth, "p4_removal", p4=list(p4))
 
 
 def extract_ordinary_minor(g: Graph, trace: Trace | None = None) -> MinorModel:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .graphs import Graph, GraphConstructionError, from_edge_list
-from .patterns import _partner, _scan_2k2, find_2k2
+from .patterns import BANNER, _partner, _scan_2k2, find_2k2
 
 _MASK64 = (1 << 64) - 1
 
@@ -82,7 +82,7 @@ def petersen() -> Graph:
 
 def banner() -> Graph:
     """4-cycle 0-1-2-3 plus pendant 4 attached at 3; roles (b1,b2,b3,b;b')=(0..4)."""
-    return from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
+    return BANNER
 
 
 def t_graph() -> Graph:
@@ -218,8 +218,7 @@ def random_2k2_free(n: int, p: float, seed: int) -> Graph:
     rng = SplitMix64(seed ^ 0xD2B74407B1CE6E93)
     full = g.full_mask
     adj = list(g.adj)
-    w = find_2k2(g)
-    found = None if w is None else w.vertices
+    found = find_2k2(g)
     frontier = dirty = 0
     while found is not None:
         a1, a2, b1, b2 = found

@@ -96,21 +96,6 @@ class Graph:
             for v in bits(rest):
                 yield (u, v)
 
-    def check_invariants(self) -> None:
-        """Assert symmetry, irreflexivity and clean high bits."""
-        full = self.full_mask
-        if len(self.adj) != self.n:
-            raise GraphConstructionError("adjacency row count does not match n")
-        for v in range(self.n):
-            row = self.adj[v]
-            if row & ~full:
-                raise GraphConstructionError(f"row {v} has bits beyond n")
-            if row >> v & 1:
-                raise GraphConstructionError(f"self-loop at vertex {v}")
-            for u in bits(row):
-                if not (self.adj[u] >> v & 1):
-                    raise GraphConstructionError(f"asymmetric pair ({v}, {u})")
-
 
 class MemoInfo(NamedTuple):
     hits: int

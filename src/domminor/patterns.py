@@ -1,94 +1,36 @@
 """Induced-subgraph detection for the fixed patterns the extraction consumes.
 
-Every search returns a role-labeled :class:`Embedding` or ``None``, and the
-returned embedding is always the lexicographically least assignment under the
-pattern's role order, so downstream traces are reproducible vertex by vertex.
+A pattern is a template :class:`Graph`.  Every search returns its witness as a
+tuple of host vertices in template order, or ``None``, and the returned tuple
+is always the lexicographically least one, so downstream traces are
+reproducible vertex by vertex.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .graphs import Graph, bits, from_edge_list, graph_memo, mask_of
 
-
-@dataclass(frozen=True)
-class Pattern:
-    """A template graph whose vertices carry distinct role names."""
-
-    template: Graph
-    roles: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.roles) != self.template.n:
-            raise ValueError("role count must equal template vertex count")
-        if len(set(self.roles)) != len(self.roles):
-            raise ValueError("role names must be distinct")
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """An injective role -> host vertex assignment of an induced copy."""
-
-    roles: tuple[str, ...]
-    vertices: tuple[int, ...]
-
-    def vertex(self, role: str) -> int:
-        return self.vertices[self.roles.index(role)]
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(self.roles, self.vertices))
-
-    @property
-    def mask(self) -> int:
-        return mask_of(self.vertices)
-
-
-# Banner (b1, b2, b3, b; b'): 4-cycle b1-b2-b3-b-b1 with pendant b' on b.
-_BANNER_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)]
+# Banner (b1, b2, b3, b; b') = (0, 1, 2, 3; 4): 4-cycle b1-b2-b3-b-b1 with pendant b' on b.
+BANNER = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
 
 
 @functools.cache
-def banner_pattern() -> Pattern:
-    return Pattern(from_edge_list(5, _BANNER_EDGES), ("b1", "b2", "b3", "b", "bp"))
+def cycle_template(length: int) -> Graph:
+    return from_edge_list(length, [(i, (i + 1) % length) for i in range(length)])
 
 
 @functools.cache
-def two_k2_pattern() -> Pattern:
-    return Pattern(from_edge_list(4, [(0, 1), (2, 3)]), ("a1", "a2", "b1", "b2"))
+def path_template(length: int) -> Graph:
+    return from_edge_list(length, [(i, i + 1) for i in range(length - 1)])
 
 
-@functools.cache
-def cycle_pattern(length: int) -> Pattern:
-    edges = [(i, (i + 1) % length) for i in range(length)]
-    return Pattern(from_edge_list(length, edges), tuple(f"c{i}" for i in range(length)))
-
-
-@functools.cache
-def path_pattern(length: int) -> Pattern:
-    edges = [(i, i + 1) for i in range(length - 1)]
-    return Pattern(from_edge_list(length, edges), tuple(f"p{i}" for i in range(length)))
-
-
-def verify_embedding(host: Graph, pattern: Pattern, emb: Embedding) -> bool:
-    """Re-check an embedding against the induced-copy definition from scratch."""
-    vs = emb.vertices
-    if len(vs) != pattern.template.n or len(set(vs)) != len(vs):
-        return False
-    if any(not 0 <= v < host.n for v in vs):
-        return False
-    t = pattern.template
-    for i in range(t.n):
-        for j in range(i + 1, t.n):
-            if t.has_edge(i, j) != host.has_edge(vs[i], vs[j]):
-                return False
-    return True
-
-
-def find_induced(host: Graph, pattern: Pattern) -> Embedding | None:
-    """Lexicographically least induced copy of ``pattern`` in ``host``.
+def find_induced(host: Graph, t: Graph) -> tuple[int, ...] | None:
+    """Lexicographically least induced copy of the template ``t`` in ``host``:
+    host vertex i of the tuple plays template vertex i.  The empty template
+    gives ``()``, which is falsy, so test the answer with ``is not None``.
 
     Position i's candidates are the still-free host vertices adjacent to the
     image of every earlier template neighbour of i and non-adjacent to the
@@ -96,10 +38,9 @@ def find_induced(host: Graph, pattern: Pattern) -> Embedding | None:
     first, so complete assignments are reached in lexicographic order and the
     first one is the least; the last position takes its least candidate.
     """
-    t = pattern.template
     k = t.n
     if k == 0:
-        return Embedding(pattern.roles, ())
+        return ()
     adj = host.adj
     earlier = [[(j, t.has_edge(i, j)) for j in range(i)] for i in range(k)]
     assignment = [0] * k
@@ -126,7 +67,7 @@ def find_induced(host: Graph, pattern: Pattern) -> Embedding | None:
         found = extend(0, host.full_mask)
     finally:
         del extend  # the closure refers to itself; free it without the cyclic collector
-    return Embedding(pattern.roles, tuple(assignment)) if found else None
+    return tuple(assignment) if found else None
 
 
 def _partner(full: int, adj: Sequence[int], u: int, v: int) -> tuple[int, int] | None:
@@ -169,33 +110,31 @@ def _scan_2k2(n: int, adj: Sequence[int], u0: int, v0: int) -> tuple[int, int, i
 
 
 @graph_memo
-def find_2k2(host: Graph) -> Embedding | None:
+def find_2k2(host: Graph) -> tuple[int, int, int, int] | None:
     """Fast scan for two disjoint edges with no edge between them.
 
-    Returns roles (a1, a2, b1, b2) with edges a1a2, b1b2, a1 the least vertex
+    Returns ``(a1, a2, b1, b2)`` with edges a1a2, b1b2, a1 the least vertex
     of any witness, each edge sorted; or ``None``.  Answers, ``None``
     included, are remembered for the last ``GRAPH_MEMO_SIZE`` (64) distinct
     graphs, keyed by the graph (see :func:`~domminor.graphs.graph_memo`).
     """
-    found = _scan_2k2(host.n, host.adj, 0, 0)
-    if found is None:
-        return None
-    return Embedding(("a1", "a2", "b1", "b2"), found)
+    return _scan_2k2(host.n, host.adj, 0, 0)
 
 
 def is_2k2_free(host: Graph) -> bool:
     return find_2k2(host) is None
 
 
-def find_banner(host: Graph) -> Embedding | None:
-    return find_induced(host, banner_pattern())
+def find_banner(host: Graph) -> tuple[int, ...] | None:
+    """Least induced banner ``(b1, b2, b3, b, b')``; see :data:`BANNER`."""
+    return find_induced(host, BANNER)
 
 
-def find_induced_cycle(host: Graph, length: int) -> Embedding | None:
-    """Least induced cycle of the given length (cyclically ordered roles)."""
+def find_induced_cycle(host: Graph, length: int) -> tuple[int, ...] | None:
+    """Least induced cycle of the given length, in cyclic order."""
     if length < 4:
         raise ValueError("induced cycle search requires length >= 4")
-    return find_induced(host, cycle_pattern(length))
+    return find_induced(host, cycle_template(length))
 
 
 def induced_c5_iter(host: Graph) -> Iterator[tuple[int, ...]]:

@@ -11,14 +11,18 @@ every t by exhaustive search.  The package decides them only for t <= 3, by
 closed forms (:func:`domminor.exact.has_kt_minor`); this search is the
 oracle those closed forms and the ordinary-side acceptance checks compare
 against.  ``is_proper_coloring`` checks the colorings that
-:func:`domminor.exact.chromatic_number` returns.
+:func:`domminor.exact.chromatic_number` returns, ``verify_embedding`` the
+witnesses of :mod:`domminor.patterns`, ``check_invariants`` the graphs that
+:mod:`domminor.graphs` builds, and ``branches`` names the branches a
+:class:`~domminor.extraction.Trace` recorded.
 """
 
 import itertools
 
 from domminor import exact
 from domminor.generators import SplitMix64, complete_multipartite, cycle, random_2k2_free
-from domminor.graphs import Graph, complement, from_edge_list
+from domminor.extraction import Trace
+from domminor.graphs import Graph, GraphConstructionError, bits, complement, from_edge_list
 from domminor.patterns import is_2k2_free
 
 
@@ -145,6 +149,40 @@ def is_proper_coloring(g: Graph, colors: tuple[int, ...], k: int) -> bool:
     if any(not 0 <= c < k for c in colors):
         return False
     return all(colors[u] != colors[v] for u, v in g.edges())
+
+
+def verify_embedding(host: Graph, t: Graph, vs: tuple[int, ...]) -> bool:
+    """Re-check a witness of the template ``t`` against the induced-copy
+    definition from scratch."""
+    if len(vs) != t.n or len(set(vs)) != len(vs):
+        return False
+    if any(not 0 <= v < host.n for v in vs):
+        return False
+    for i in range(t.n):
+        for j in range(i + 1, t.n):
+            if t.has_edge(i, j) != host.has_edge(vs[i], vs[j]):
+                return False
+    return True
+
+
+def check_invariants(g: Graph) -> None:
+    """Assert symmetry, irreflexivity and clean high bits."""
+    full = g.full_mask
+    if len(g.adj) != g.n:
+        raise GraphConstructionError("adjacency row count does not match n")
+    for v in range(g.n):
+        row = g.adj[v]
+        if row & ~full:
+            raise GraphConstructionError(f"row {v} has bits beyond n")
+        if row >> v & 1:
+            raise GraphConstructionError(f"self-loop at vertex {v}")
+        for u in bits(row):
+            if not (g.adj[u] >> v & 1):
+                raise GraphConstructionError(f"asymmetric pair ({v}, {u})")
+
+
+def branches(trace: Trace) -> set[str]:
+    return {e["branch"] for e in trace.events}
 
 
 def has_kt_minor(g: Graph, t: int) -> bool:

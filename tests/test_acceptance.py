@@ -10,13 +10,11 @@ construction needs five same-size matched classes).  CI also runs it alone.
 """
 
 import itertools
-import json
 from functools import lru_cache
 from pathlib import Path
 
-import pytest
-
 from helpers import (
+    branches,
     complete_neighbor_host,
     final_host,
     forced_k4_host,
@@ -62,7 +60,7 @@ def _note(criterion: int, text: str) -> None:
 
 
 def _absorb(trace: Trace) -> None:
-    _seen_branches.update(trace.branches())
+    _seen_branches.update(branches(trace))
     for e in trace.events:
         if e["branch"] == "final_construction":
             _seen_parities.add(e["parity"])

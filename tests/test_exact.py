@@ -50,7 +50,7 @@ from domminor.graphs import (
     parse_graph6,
     set_to_list,
 )
-from domminor.patterns import find_2k2, find_induced, path_pattern
+from domminor.patterns import find_2k2, find_induced, path_template
 
 C5 = cycle(5)
 DATA = Path(__file__).parent / "data"
@@ -1087,7 +1087,7 @@ class TestNoReferenceCycles:
             for line in (DATA / f"graphs{n}.g6").read_text().split()
         ]
         assert len(graphs) == 208
-        p4 = path_pattern(4)
+        p4 = path_template(4)
         calls = (
             clique_number,
             chromatic_number,

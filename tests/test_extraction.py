@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    branches,
     c5_blowup,
     complete_neighbor_host,
     final_host,
@@ -69,26 +70,26 @@ class TestEndToEnd:
         tr = Trace()
         model = assert_sound(cycle(5), tr)
         assert model_to_lists(model) == [[0, 1, 2], [3], [4]]
-        assert "y_empty" in tr.branches()
+        assert "y_empty" in branches(tr)
 
     def test_octahedron_clique_shortcut(self):
         tr = Trace()
         model = assert_sound(complete_multipartite([2, 2, 2]), tr)
         assert len(model) == 3
-        assert "clique" in tr.branches()
+        assert "clique" in branches(tr)
 
     def test_k4_plus_pendant_split(self):
         g = from_edge_list(5, list(itertools.combinations(range(4), 2)) + [(0, 4)])
         tr = Trace()
         model = assert_sound(g, tr)
         assert model_to_lists(model) == [[0], [1], [2], [3]]
-        assert "split_graph" in tr.branches()
+        assert "split_graph" in branches(tr)
 
     def test_wheel(self):
         tr = Trace()
         model = assert_sound(wheel5(), tr)
         assert len(model) == 4
-        assert "y_empty" in tr.branches()
+        assert "y_empty" in branches(tr)
 
     def test_complement_c7_routes_through_c4_reduction(self):
         g = complement(cycle(7))
@@ -96,17 +97,17 @@ class TestEndToEnd:
         tr = Trace()
         model = assert_sound(g, tr)
         assert len(model) == 4
-        assert "c4_reduction" in tr.branches()
+        assert "c4_reduction" in branches(tr)
 
     def test_singleton_class_host(self):
         tr = Trace()
         assert_sound(singleton_class_host(), tr)
-        assert "y_small" in tr.branches()
+        assert "y_small" in branches(tr)
 
     def test_forced_k4_host(self):
         tr = Trace()
         assert_sound(forced_k4_host(), tr)
-        assert {"banner_structure", "low_degree_c5", "low_degree_k4"} <= tr.branches()
+        assert {"banner_structure", "low_degree_c5", "low_degree_k4"} <= branches(tr)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_final_construction_host(self, m):
@@ -114,19 +115,19 @@ class TestEndToEnd:
         assert_sound(final_host(m), tr)
         finals = [e for e in tr.events if e["branch"] == "final_construction"]
         assert finals and finals[0]["m"] == m
-        assert "c5_partition" in tr.branches()
+        assert "c5_partition" in branches(tr)
 
     def test_complete_neighbor_host(self):
         tr = Trace()
         assert_sound(complete_neighbor_host(), tr)
-        assert "y_complete_neighbor" in tr.branches()
+        assert "y_complete_neighbor" in branches(tr)
 
     def test_pendant_class_host(self):
         # an edge from the anticomplete side into a miss-class whose classes
         # all have size >= 2; needs the dedicated four-set reduction
         tr = Trace()
         assert_sound(pendant_class_host(), tr)
-        assert "independent_side_edge" in tr.branches()
+        assert "independent_side_edge" in branches(tr)
 
     def test_not_2k2_free_rejected(self):
         with pytest.raises(Not2K2FreeError) as ei:
@@ -188,15 +189,15 @@ class TestBannerStep:
     def test_banner_alone_completes(self):
         g = banner()
         emb = find_banner(g)
-        model = ex._banner_step(g, emb.vertices, chi_of(g), ex._Ctx(), 0)
+        model = ex._banner_step(g, emb, chi_of(g), ex._Ctx(), 0)
         assert model_to_lists(model) == [[0, 3, 4], [1, 2]]
         assert verify_dominating_model(g, model).valid
 
     def test_t_graph_yields_structure(self):
         g = t_graph()
         emb = find_banner(g)
-        assert emb.vertices == (0, 1, 2, 5, 6)
-        out = ex._banner_step(g, emb.vertices, chi_of(g), ex._Ctx(), 0)
+        assert emb == (0, 1, 2, 5, 6)
+        out = ex._banner_step(g, emb, chi_of(g), ex._Ctx(), 0)
         assert isinstance(out, Structure)
         assert {out.b4, out.b5} == {3, 4}
         assert g.has_edge(out.b4, out.b5)
@@ -217,14 +218,14 @@ class TestC4Reduction:
     def test_octahedron(self):
         g = complete_multipartite([2, 2, 2])
         emb = find_induced_cycle(g, 4)
-        model = ex._c4_reduction(g, emb.vertices, chi_of(g), ex._Ctx(), 0)
+        model = ex._c4_reduction(g, emb, chi_of(g), ex._Ctx(), 0)
         assert len(model) == 3
         assert verify_dominating_model(g, model).valid
 
     def test_degenerate_c4_itself(self):
         g = cycle(4)
         emb = find_induced_cycle(g, 4)
-        model = ex._c4_reduction(g, emb.vertices, chi_of(g), ex._Ctx(), 0)
+        model = ex._c4_reduction(g, emb, chi_of(g), ex._Ctx(), 0)
         assert len(model) == 2
         assert verify_dominating_model(g, model).valid
 
@@ -428,16 +429,16 @@ class TestPinnedExtraction:
             final_host(2), final_host(3), complete_neighbor_host(), pendant_class_host(), pentagon(),
         ]
         h = hashlib.md5()
-        branches = set()
+        seen = set()
         for s in free + [emit_graph6(g) for g in hosts]:
             tr = Trace()
             model = extract_dominating(parse_graph6(s), trace=tr)
             h.update(f"{s} {list(model)} {json.dumps(tr.events, sort_keys=True)}\n".encode())
-            branches |= tr.branches()
+            seen |= branches(tr)
         assert {
             "banner_completed", "c4_reduction", "low_degree_k4", "y_empty", "y_small",
             "independent_side_edge", "y_complete_neighbor", "final_construction",
-        } <= branches
+        } <= seen
         assert h.hexdigest() == self.DIGEST
 
 
@@ -515,8 +516,8 @@ class TestDeepBranchCorpus:
             assert len(dom) == len(ordinary) == chi, seed
             assert verify_dominating_model(g, dom).valid, seed
             assert verify_ordinary_model(g, ordinary).valid, seed
-            assert ord_trace.branches() <= {"p4_removal", "clique", "empty"}
-            for b in dom_trace.branches() & counts.keys():
+            assert branches(ord_trace) <= {"p4_removal", "clique", "empty"}
+            for b in branches(dom_trace) & counts.keys():
                 counts[b] += 1
             parities |= {e["parity"] for e in dom_trace.events if e["branch"] == "final_construction"}
             h.update(f"{emit_graph6(g)} {list(dom)} {list(ordinary)}\n".encode())

@@ -22,13 +22,12 @@ from domminor.generators import (
 )
 from domminor.graphs import Graph, GraphConstructionError, complement
 from domminor.patterns import (
-    banner_pattern,
+    BANNER,
     find_2k2,
     find_banner,
     find_induced,
     has_induced_c5,
     is_2k2_free,
-    two_k2_pattern,
 )
 
 
@@ -47,7 +46,7 @@ class TestFamilies:
         assert g.n == 4 + 6 and g.edge_count() == 12
         # triangle-free: subdivision vertices have degree 2 and branch
         # vertices form an independent set
-        assert find_induced(g, two_k2_pattern()) is not None  # sanity: sparse
+        assert find_induced(g, two_k2()) is not None  # sanity: sparse
         from domminor.exact import clique_number
 
         assert clique_number(g)[0] == 2
@@ -56,14 +55,14 @@ class TestFamilies:
         g = t_graph()
         assert g.n == 7
         emb = find_banner(g)
-        assert emb is not None and emb.vertices == (0, 1, 2, 5, 6)
+        assert emb == (0, 1, 2, 5, 6)
         assert has_induced_c5(g)
 
     def test_c4_complement_is_two_k2(self):
         g = complement(cycle(4))
         assert g.edge_count() == 2
-        emb = find_induced(g, two_k2_pattern())
-        assert emb is not None and sorted(emb.vertices) == [0, 1, 2, 3]
+        emb = find_induced(g, two_k2())
+        assert emb is not None and sorted(emb) == [0, 1, 2, 3]
         assert sorted(two_k2().edges()) == [(0, 1), (2, 3)]
 
     def test_family_dispatch(self):
@@ -133,7 +132,7 @@ class TestRandom:
     def test_n4_never_two_k2_itself(self):
         for seed in range(30):
             g = random_2k2_free(4, 0.5, seed)
-            assert find_induced(g, two_k2_pattern()) is None
+            assert find_induced(g, two_k2()) is None
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**63), st.integers(min_value=5, max_value=16))
@@ -150,7 +149,7 @@ class TestRandom:
             random_2k2_free(6, 0.5, 1)
 
     def test_banner_pattern_matches_family(self):
-        assert banner() == banner_pattern().template
+        assert banner() == BANNER and find_banner(banner()) == (0, 1, 2, 3, 4)
 
 
 def reference_2k2_free(n, p, seed):
@@ -160,7 +159,7 @@ def reference_2k2_free(n, p, seed):
     rng = SplitMix64(seed ^ 0xD2B74407B1CE6E93)
     w = find_2k2(g)
     while w is not None:
-        a1, a2, b1, b2 = w.vertices
+        a1, a2, b1, b2 = w
         u, v = ((a1, b1), (a1, b2), (a2, b1), (a2, b2))[rng.below(4)]
         adj = list(g.adj)
         adj[u] |= 1 << v
@@ -237,7 +236,7 @@ class TestResumedRepair:
             nonlocal steps
             found, dirty = resumed(n, adj, dirty, frontier)
             full = find_2k2(Graph(n, tuple(adj)))
-            assert found == (full and full.vertices), (n, adj, frontier)
+            assert found == full, (n, adj, frontier)
             steps += 1
             return found, dirty
 

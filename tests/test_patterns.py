@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import verify_embedding
+
 import domminor.patterns as patterns_mod
 from domminor.cli import main
 from domminor.graphs import Graph, complement, emit_graph6, from_edge_list, mask_of, parse_graph6
 from domminor.patterns import (
-    Embedding,
-    Pattern,
-    banner_pattern,
-    cycle_pattern,
+    BANNER,
+    cycle_template,
     find_2k2,
     find_banner,
     find_induced,
@@ -23,9 +23,7 @@ from domminor.patterns import (
     has_induced_c5,
     induced_c5_iter,
     is_2k2_free,
-    path_pattern,
-    two_k2_pattern,
-    verify_embedding,
+    path_template,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -53,9 +51,8 @@ PETERSEN = from_edge_list(
 )
 
 
-def brute_induced(host: Graph, pattern: Pattern) -> bool:
+def brute_induced(host: Graph, t: Graph) -> bool:
     """Oracle: exhaust all vertex tuples for an induced copy."""
-    t = pattern.template
     for combo in itertools.permutations(range(host.n), t.n):
         if all(
             t.has_edge(i, j) == host.has_edge(combo[i], combo[j])
@@ -78,8 +75,7 @@ def random_graphs(max_n=8):
 
 class TestGenericEngine:
     def test_2k2_in_itself_is_identity(self):
-        emb = find_induced(TWO_K2, two_k2_pattern())
-        assert emb.vertices == (0, 1, 2, 3)
+        assert find_induced(TWO_K2, TWO_K2) == (0, 1, 2, 3)
 
     def test_no_2k2_in_c5(self):
         # oracle: every 4-subset of C5 checked directly
@@ -87,31 +83,19 @@ class TestGenericEngine:
             edges = [(u, v) for u, v in itertools.combinations(sub, 2) if C5.has_edge(u, v)]
             degs = sorted(sum(1 for e in edges if w in e) for w in sub)
             assert not (len(edges) == 2 and degs == [1, 1, 1, 1])
-        assert find_induced(C5, two_k2_pattern()) is None
+        assert find_induced(C5, TWO_K2) is None
 
     def test_banner_in_t_graph(self):
-        emb = find_induced(T_GRAPH, banner_pattern())
-        assert emb.vertices == (0, 1, 2, 5, 6)
-        assert verify_embedding(T_GRAPH, banner_pattern(), emb)
+        emb = find_induced(T_GRAPH, BANNER)
+        assert emb == (0, 1, 2, 5, 6)
+        assert verify_embedding(T_GRAPH, BANNER, emb)
 
     def test_returned_embeddings_verify(self):
         for host in [C5, C6, K4, T_GRAPH, PETERSEN]:
-            for pat in [two_k2_pattern(), banner_pattern(), cycle_pattern(4), cycle_pattern(5), path_pattern(4)]:
-                emb = find_induced(host, pat)
+            for t in [TWO_K2, BANNER, cycle_template(4), cycle_template(5), path_template(4)]:
+                emb = find_induced(host, t)
                 if emb is not None:
-                    assert verify_embedding(host, pat, emb)
-
-    def test_pattern_role_validation(self):
-        with pytest.raises(ValueError):
-            Pattern(TWO_K2, ("a", "b", "c"))
-        with pytest.raises(ValueError):
-            Pattern(TWO_K2, ("a", "a", "b", "c"))
-
-    def test_embedding_accessors(self):
-        emb = Embedding(("x", "y"), (3, 7))
-        assert emb.vertex("y") == 7
-        assert emb.as_dict() == {"x": 3, "y": 7}
-        assert emb.mask == mask_of([3, 7])
+                    assert verify_embedding(host, t, emb)
 
 
 class TestSpecializedScans:
@@ -120,15 +104,14 @@ class TestSpecializedScans:
 
     def test_c6_witness(self):
         emb = find_2k2(C6)
-        assert emb.vertices == (0, 1, 3, 4)
-        assert verify_embedding(C6, two_k2_pattern(), emb)
+        assert emb == (0, 1, 3, 4)
+        assert verify_embedding(C6, TWO_K2, emb)
 
     def test_octahedron_2k2_free(self):
         assert find_2k2(OCTAHEDRON) is None
 
     def test_banner_host_identity(self):
-        emb = find_banner(banner_pattern().template)
-        assert emb.vertices == (0, 1, 2, 3, 4)
+        assert find_banner(BANNER) == (0, 1, 2, 3, 4)
 
     def test_banner_absent_in_c4(self):
         assert find_banner(C4) is None
@@ -137,10 +120,10 @@ class TestSpecializedScans:
         assert find_banner(T_GRAPH) is not None
 
     def test_cycle_search(self):
-        assert find_induced_cycle(C5, 5).vertices == (0, 1, 2, 3, 4)
+        assert find_induced_cycle(C5, 5) == (0, 1, 2, 3, 4)
         assert find_induced_cycle(K4, 4) is None
         emb = find_induced_cycle(PETERSEN, 5)
-        assert verify_embedding(PETERSEN, cycle_pattern(5), emb)
+        assert verify_embedding(PETERSEN, cycle_template(5), emb)
 
     def test_cycle_length_validated(self):
         with pytest.raises(ValueError):
@@ -154,8 +137,7 @@ class TestSpecializedScans:
         assert len(found) == 12
         assert found == sorted(found)
         for tup in found:
-            cyc = cycle_pattern(5)
-            assert verify_embedding(PETERSEN, cyc, Embedding(cyc.roles, tup))
+            assert verify_embedding(PETERSEN, cycle_template(5), tup)
         assert has_induced_c5(PETERSEN)
 
 
@@ -196,7 +178,7 @@ class TestCrossChecks:
     @settings(max_examples=150, deadline=None)
     @given(random_graphs(max_n=7))
     def test_find_2k2_agrees_with_generic(self, g):
-        assert (find_2k2(g) is None) == (find_induced(g, two_k2_pattern()) is None)
+        assert (find_2k2(g) is None) == (find_induced(g, TWO_K2) is None)
 
     @settings(max_examples=150, deadline=None)
     @given(random_graphs(max_n=7))
@@ -208,8 +190,8 @@ class TestCrossChecks:
     @settings(max_examples=100, deadline=None)
     @given(random_graphs(max_n=7))
     def test_generic_engine_against_brute_force(self, g):
-        for pat in [two_k2_pattern(), path_pattern(4), cycle_pattern(4)]:
-            assert (find_induced(g, pat) is not None) == brute_induced(g, pat)
+        for t in [TWO_K2, path_template(4), cycle_template(4)]:
+            assert (find_induced(g, t) is not None) == brute_induced(g, t)
 
     @settings(max_examples=100, deadline=None)
     @given(random_graphs(max_n=8))
@@ -231,7 +213,7 @@ class TestCorpusInvariants:
     def test_2k2_scan_agreement_all_n_le_7(self):
         for n in range(8):
             for g in self._corpus(n):
-                assert (find_2k2(g) is None) == (find_induced(g, two_k2_pattern()) is None)
+                assert (find_2k2(g) is None) == (find_induced(g, TWO_K2) is None)
 
     def test_2k2_complement_duality_all_n_le_7(self):
         for n in range(8):
@@ -250,8 +232,8 @@ class TestCorpusInvariants:
                 for a in edges:
                     outside = g.full_mask & ~mask_of(a) & ~g.adj[a[0]] & ~g.adj[a[1]]
                     partner[a] = next((b for b in edges if not mask_of(b) & ~outside), None)
-                emb = find_induced(g, two_k2_pattern())
-                assert patterns_mod._scan_2k2(g.n, g.adj, 0, 0) == (emb and emb.vertices)
+                emb = find_induced(g, TWO_K2)
+                assert patterns_mod._scan_2k2(g.n, g.adj, 0, 0) == emb
                 assert find_2k2(g) == emb
                 for start in [(0, 0)] + edges:
                     first = next((a + partner[a] for a in edges if a >= start and partner[a]), None)
@@ -260,26 +242,22 @@ class TestCorpusInvariants:
         assert count == 13595
 
     def test_find_induced_is_lex_least(self):
-        # the embedding is the first induced tuple of itertools.permutations,
+        # the witness is the first induced tuple of itertools.permutations,
         # i.e. the lexicographically least one, or None when there is none
-        patterns = [two_k2_pattern(), path_pattern(4), cycle_pattern(4), cycle_pattern(5), banner_pattern()]
-        pairs = {
-            pat: [(i, j, pat.template.has_edge(i, j)) for i, j in itertools.combinations(range(pat.template.n), 2)]
-            for pat in patterns
-        }
+        templates = [TWO_K2, path_template(4), cycle_template(4), cycle_template(5), BANNER]
+        pairs = [[(i, j, t.has_edge(i, j)) for i, j in itertools.combinations(range(t.n), 2)] for t in templates]
         count = 0
         for n in range(8):
             for g in self._corpus(n):
-                for pat in patterns:
+                for t, t_pairs in zip(templates, pairs):
                     want = next(
                         (
                             vs
-                            for vs in itertools.permutations(range(n), pat.template.n)
-                            if all(g.has_edge(vs[i], vs[j]) == e for i, j, e in pairs[pat])
+                            for vs in itertools.permutations(range(n), t.n)
+                            if all(g.has_edge(vs[i], vs[j]) == e for i, j, e in t_pairs)
                         ),
                         None,
                     )
-                    emb = find_induced(g, pat)
-                    assert (emb and emb.vertices) == want
+                    assert find_induced(g, t) == want
                     count += 1
         assert count == 6265
