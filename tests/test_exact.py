@@ -56,6 +56,21 @@ C5 = cycle(5)
 DATA = Path(__file__).parent / "data"
 
 
+def atlas_and_sweep():
+    """(name, graph) for the 1,409 pinned colouring graphs: the atlas graphs
+    with n <= 7 by graph6, then the first 156 of criterion 1's corpus by index."""
+    graphs = [
+        (line, parse_graph6(line))
+        for n in range(8)
+        for line in (DATA / f"graphs{n}.g6").read_text().split()
+    ]
+    graphs += [
+        (str(i), random_2k2_free(5 + i % 26, (0.08, 0.15, 0.25, 0.4, 0.6, 0.8)[i % 6], i))
+        for i in range(156)
+    ]
+    return graphs
+
+
 def random_graphs(max_n=7, min_n=0):
     def build(draw):
         n = draw(st.integers(min_value=min_n, max_value=max_n))
@@ -280,21 +295,27 @@ class TestChromatic:
         # the DSATUR vertex by a tuple key and ran the greedy clique bound
         # at every node
         h = hashlib.md5()
-        graphs = [
-            (line, parse_graph6(line))
-            for n in range(8)
-            for line in (DATA / f"graphs{n}.g6").read_text().split()
-        ]
-        graphs += [
-            (str(i), random_2k2_free(5 + i % 26, (0.08, 0.15, 0.25, 0.4, 0.6, 0.8)[i % 6], i))
-            for i in range(156)
-        ]
+        graphs = atlas_and_sweep()
         for name, g in graphs:
             k, colors = exact_mod._dsatur_greedy(g)
             omega, mask = clique_number(g)
             h.update(f"{name} {k} {colors} {omega} {mask}\n".encode())
         assert len(graphs) == 1409
         assert h.hexdigest() == "3b5a796f9347c9137c53aba8033334f1"
+
+    def test_atlas_and_sweep_k_colorable_pinned(self):
+        # the k-colouring search's answer for every k in 0..n on the same
+        # graphs: a colouring, or None below chi; pinned from the recursive
+        # search that re-scanned every vertex for the next one to colour
+        h = hashlib.md5()
+        calls = 0
+        for name, g in atlas_and_sweep():
+            for k in range(g.n + 1):
+                result = exact_mod._k_colorable(g, k, Deadline(None))
+                h.update(f"{name} {k} {result}\n".encode())
+                calls += 1
+        assert calls == 12614
+        assert h.hexdigest() == "8485da9bcf262c6c2655e31d956b99c5"
 
 
 class TestCliqueIndependence:
