@@ -54,6 +54,9 @@ class Deadline:
             raise SearchDeadlineExceeded
 
 
+_UNBUDGETED = Deadline(None)  # never stops, and its tick returns at once; shared
+
+
 # ---------------------------------------------------------------------------
 # model verification
 # ---------------------------------------------------------------------------
@@ -289,27 +292,59 @@ def independence_number(g: Graph) -> tuple[int, int]:
     return clique_number(complement(g))
 
 
-def _dsatur_greedy(g: Graph) -> tuple[int, list[int]]:
-    """DSATUR: colour next the uncoloured vertex of largest (saturation,
-    degree, -index), with its least free colour."""
+def _k_colorable(g: Graph, k: int, deadline: Deadline) -> list[int] | None:
+    """A proper colouring of ``g`` with the colours 0..k-1, or ``None``:
+    DSATUR (Brelaz 1979) with backtracking, on its own stack (one entry per
+    coloured vertex), ticking ``deadline`` once per vertex coloured.
+
+    The next vertex is the uncoloured one of largest (saturation, degree,
+    -index).  It tries its free colours in ascending order, at most one of
+    them not used yet; a vertex with none free undoes the last colouring.
+    The first descent is DSATUR's greedy colouring, so with k at least its
+    class count nothing is undone.
+    """
     n = g.n
+    adj = g.adj
     colors = [-1] * n
-    forbidden = [0] * n  # bitmask of colors used by neighbors
+    forbidden = [0] * n  # bitmask of the colours of each vertex's coloured neighbours
     # (saturation, degree, n - u) packed into one int per vertex, each field
     # below 2^width; a coloured vertex's key is -1
     width = n.bit_length()
     field = (1 << width) - 1
     sat_step = 1 << 2 * width
-    adj = g.adj
     key = [row.bit_count() << width | n - u for u, row in enumerate(adj)]
     uncolored = g.full_mask
-    for _ in range(n):
-        v = n - (max(key) & field)
+    kmask = (1 << k) - 1
+    allowed = 1 & kmask  # the colours in use and the next one, if below k
+    stack = []  # (v, its key, allowed before it, the neighbours it newly saturated)
+    tick = deadline.tick
+    while True:
+        tick()
+        if not uncolored:
+            return colors
+        v_key = max(key)
+        v = n - (v_key & field)
+        free = ~forbidden[v] & allowed  # none once the neighbours hold all k
+        while not free:
+            if not stack:
+                return None
+            v, v_key, allowed, touched = stack.pop()
+            c_bit = 1 << colors[v]
+            colors[v] = -1
+            key[v] = v_key
+            uncolored |= 1 << v
+            while touched:
+                low = touched & -touched
+                touched ^= low
+                u = low.bit_length() - 1
+                forbidden[u] ^= c_bit
+                key[u] -= sat_step
+            free = ~forbidden[v] & allowed & -(c_bit << 1)  # the colours above the one undone
+        c_bit = free & -free
+        colors[v] = c_bit.bit_length() - 1
         key[v] = -1
         uncolored ^= 1 << v
-        f = forbidden[v]
-        c_bit = ~f & (f + 1)  # the least colour no neighbour uses
-        colors[v] = c_bit.bit_length() - 1
+        touched = 0
         nbrs = adj[v] & uncolored
         while nbrs:
             low = nbrs & -nbrs
@@ -318,63 +353,21 @@ def _dsatur_greedy(g: Graph) -> tuple[int, list[int]]:
             if not forbidden[u] & c_bit:
                 forbidden[u] |= c_bit
                 key[u] += sat_step
-    return (max(colors) + 1 if n else 0), colors
-
-
-def _k_colorable(g: Graph, k: int, deadline: Deadline) -> list[int] | None:
-    """DSATUR-ordered backtracking k-colorability with first-new-color symmetry break."""
-    n = g.n
-    colors = [-1] * n
-    forbidden = [0] * n
-    kmask = (1 << k) - 1
-    deg = [row.bit_count() for row in g.adj]
-
-    def rec(colored: int, used: int) -> bool:
-        deadline.tick()
-        if colored == n:
-            return True
-        best_v = -1
-        best_key = (-1, -1)
-        for u in range(n):
-            if colors[u] == -1:
-                sat = (forbidden[u] & kmask).bit_count()
-                if sat == k:
-                    return False
-                key = (sat, deg[u])
-                if key > best_key:
-                    best_key, best_v = key, u
-        v = best_v
-        tryable = ~forbidden[v] & kmask
-        # allow at most one brand-new color index
-        cap_mask = (1 << min(k, used + 1)) - 1
-        tryable &= cap_mask
-        for c in bits(tryable):
-            colors[v] = c
-            touched = []
-            for u in bits(g.adj[v]):
-                if colors[u] == -1 and not forbidden[u] >> c & 1:
-                    forbidden[u] |= 1 << c
-                    touched.append(u)
-            if rec(colored + 1, max(used, c + 1)):
-                return True
-            colors[v] = -1
-            for u in touched:
-                forbidden[u] &= ~(1 << c)
-        return False
-
-    try:
-        found = rec(0, 0)
-    finally:
-        del rec  # the closure refers to itself; free it without the cyclic collector
-    return colors if found else None
+                touched |= low
+        stack.append((v, v_key, allowed, touched))
+        if c_bit << 1 > allowed:  # v took the next colour
+            allowed = (allowed << 1 | 1) & kmask
 
 
 @graph_memo
 def chromatic_number(g: Graph, deadline: Deadline | None = None) -> tuple[int, tuple[int, ...]]:
     """Exact chromatic number with a proper witness coloring.
 
-    Sequential k-colorability from the clique number up to the DSATUR
-    greedy upper bound, decomposed over connected components.
+    Per connected component: DSATUR's greedy colouring, the first descent
+    of :func:`_k_colorable` with as many colours as vertices, bounds chi
+    from above; it runs unbudgeted, since it never backtracks.  Then the
+    same search tries k colours for k from the clique number upward, under
+    ``deadline``, and the first success is chi.
 
     Answers are remembered for the last ``GRAPH_MEMO_SIZE`` (64) distinct
     graphs, keyed by the graph alone (see
@@ -384,7 +377,7 @@ def chromatic_number(g: Graph, deadline: Deadline | None = None) -> tuple[int, t
     """
     if g.n == 0:
         return 0, ()
-    deadline = deadline or Deadline(None)
+    deadline = deadline or _UNBUDGETED
     colors = [0] * g.n
     k = 0
     for comp in connected_components(g):
@@ -392,11 +385,9 @@ def chromatic_number(g: Graph, deadline: Deadline | None = None) -> tuple[int, t
             sub, verts = g, range(g.n)
         else:
             sub, verts = induced_subgraph(g, comp)
-        ub, greedy = _dsatur_greedy(sub)
-        lb = clique_number(sub, _ub=ub)[0]
-        sub_colors = greedy
-        sub_k = ub
-        for kk in range(lb, ub):
+        sub_colors = _k_colorable(sub, sub.n, _UNBUDGETED)
+        sub_k = max(sub_colors) + 1
+        for kk in range(clique_number(sub, _ub=sub_k)[0], sub_k):
             attempt = _k_colorable(sub, kk, deadline)
             if attempt is not None:
                 sub_colors, sub_k = attempt, kk
@@ -630,7 +621,7 @@ def has_dominating_kt(
     if omega >= t:
         model = tuple(1 << v for v in set_to_list(cmask)[:t])
         return model
-    deadline = deadline or Deadline(None)
+    deadline = deadline or _UNBUDGETED
     dead = bytearray(1 << g.n) if _dead is None else _dead
     adj = g.adj
     count = _edge_counter(adj)

@@ -78,7 +78,6 @@ from .patterns import (
     find_banner,
     find_induced,
     find_induced_cycle,
-    has_induced_c5,
     induced_c5_iter,
     path_template,
 )
@@ -742,7 +741,7 @@ def _branch(g: Graph, need: int, ctx: _Ctx, depth: int) -> MinorModel:
     omega, cmask = clique_number(g)
     if omega >= need:
         # the two labels differ only in the trace, so untraced runs skip the searches
-        split = ctx.trace is not None and find_induced_cycle(g, 4) is None and not has_induced_c5(g)
+        split = ctx.trace is not None and find_induced_cycle(g, 4) is None and find_induced_cycle(g, 5) is None
         return _clique_model(need, omega, cmask, ctx, depth, "split_graph" if split else "clique")
 
     first_c5, low = _scan_c5s(g)

@@ -29,8 +29,9 @@ before it is reported.
 
 The checkpoint also stores a fingerprint of its run: the checks, filter,
 search cap and time budget, and the sha256 of the input lines it consumed.
-A resume is refused when a stored field differs, or when the output file
-holds fewer bytes than the checkpoint counted, since records would be lost.
+A resume is refused when a field is missing or differs, or when the output
+file holds fewer bytes than the checkpoint counted, since records would be
+lost.
 
 Checks live in the ``_CHECKS`` table (name -> function of the graph, the
 search cap and the record's one deadline, which bounds its chi, searches and
@@ -136,30 +137,6 @@ class HuntConfig:
             raise HuntError("a checkpoint needs an output file (--output) to resume from")
 
 
-@dataclass
-class HuntRecord:
-    line: int  # 1-based input line number; the stable sort key
-    graph6: str
-    verdict: str
-    n: int | None = None
-    chi: int | None = None
-    detail: dict | None = None
-    elapsed_ms: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "line": self.line,
-                "graph6": self.graph6,
-                "n": self.n,
-                "chi": self.chi,
-                "verdict": self.verdict,
-                "detail": self.detail,
-                "elapsed_ms": self.elapsed_ms,
-            }
-        )
-
-
 # ---------------------------------------------------------------------------
 # per-graph checking
 # ---------------------------------------------------------------------------
@@ -174,7 +151,7 @@ def _dominating_hadwiger(g: Graph, cap: int, deadline: Deadline) -> tuple[str, d
     # counterexample certificate: the coloring shows chi(g) <= chi, the
     # exhausted searches show chi-1 colors and a dominating K_chi are
     # both impossible
-    lower = _k_colorable(g, chi - 1, deadline) if chi > 1 else None
+    lower = _k_colorable(g, chi - 1, deadline)
     if lower is not None:
         # chi - 1 colours suffice, so chi was wrong: the record would refute
         # its own certificate
@@ -280,19 +257,26 @@ def check_graph(
     return verdict, chi, detail
 
 
-def _process_line(cfg: HuntConfig, line_no: int, text: str) -> HuntRecord:
+def _process_line(cfg: HuntConfig, line_no: int, text: str) -> dict:
+    """The record of one graph line, its keys in output order; ``line`` is
+    the 1-based input line number, the records' stable sort key.  A parse
+    error's ``elapsed_ms`` is 0."""
     t0 = time.monotonic()
+    n = chi = detail = None
+    elapsed_ms = 0
     try:
         g = parse_graph6(text)
     except GraphError as exc:
-        return HuntRecord(line_no, text, "parse-error", detail={"error": str(exc)})
-    if cfg.graph_filter == "2k2-free" and find_2k2(g) is not None:
-        rec = HuntRecord(line_no, text, "skipped-filter", n=g.n)
+        verdict, detail = "parse-error", {"error": str(exc)}
     else:
-        verdict, chi, detail = check_graph(g, cfg.checks, cap=cfg.exact_cap, time_budget_s=cfg.time_budget_s)
-        rec = HuntRecord(line_no, text, verdict, n=g.n, chi=chi, detail=detail)
-    rec.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return rec
+        n = g.n
+        if cfg.graph_filter == "2k2-free" and find_2k2(g) is not None:
+            verdict = "skipped-filter"
+        else:
+            verdict, chi, detail = check_graph(g, cfg.checks, cap=cfg.exact_cap, time_budget_s=cfg.time_budget_s)
+        elapsed_ms = int((time.monotonic() - t0) * 1000)
+    return {"line": line_no, "graph6": text, "n": n, "chi": chi, "verdict": verdict, "detail": detail,
+            "elapsed_ms": elapsed_ms}
 
 
 def _process_chunk(cfg: HuntConfig, lines: list[tuple[int, str]]) -> list[tuple]:
@@ -301,7 +285,7 @@ def _process_chunk(cfg: HuntConfig, lines: list[tuple[int, str]]) -> list[tuple]
     out = []
     for no, text in lines:
         rec = _process_line(cfg, no, text)
-        out.append((no, text, rec.verdict, rec.to_json()))
+        out.append((no, text, rec["verdict"], json.dumps(rec)))
     return out
 
 
@@ -383,9 +367,9 @@ class _Checkpoint:
         An empty checkpoint counts as none: a run killed between creating it
         and its first write leaves one, and no record was checkpointed.
         Consumes and hashes the lines of ``lines`` before ``next_line``.
-        Refuses a checkpoint whose stored fingerprint fields differ from this
-        run's (older checkpoints lack some and are checked on the rest), and
-        an output file shorter than the bytes the checkpoint counted.
+        Refuses a checkpoint that lacks a fingerprint field or whose stored
+        fields differ from this run's, and an output file shorter than the
+        bytes the checkpoint counted.
         """
         if self.path is None or not os.path.exists(self.path) or os.path.getsize(self.path) == 0:
             return 0, 0
@@ -398,7 +382,9 @@ class _Checkpoint:
         for _, ln in islice(lines, max(next_line - 1, 0)):
             self.sha.update(ln.encode() + b"\n")
         for key, value in self._fields(next_line, output_bytes, self.sha.hexdigest()).items():
-            if key in data and data[key] != value:
+            if key not in data:
+                raise HuntError(f"checkpoint {self.path} lacks {key}, so it cannot be matched to this run")
+            if data[key] != value:
                 raise HuntError(
                     f"checkpoint {self.path} does not match this run: "
                     f"{key} is {data[key]!r} there and {value!r} here"
@@ -524,8 +510,8 @@ def run_hunt(cfg: HuntConfig, record_stream=None) -> HuntSummary:
                 if verdict == "counterexample":
                     # counterexamples are re-checked once, single-threaded, no budget
                     rec = _process_line(unbudgeted, line, graph6)
-                    rec.detail = (rec.detail or {}) | {"rechecked": True}
-                    verdict, json_line = rec.verdict, rec.to_json()
+                    rec["detail"] = (rec["detail"] or {}) | {"rechecked": True}
+                    verdict, json_line = rec["verdict"], json.dumps(rec)
                 out_fh.write(json_line + "\n")
                 summary.add(verdict, graph6)
             out_fh.flush()

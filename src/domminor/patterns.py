@@ -161,7 +161,3 @@ def induced_c5_iter(host: Graph) -> Iterator[tuple[int, ...]]:
                     cand &= ~mask_of((v2, v3))
                     for v4 in bits(cand):
                         yield (v0, v1, v2, v3, v4)
-
-
-def has_induced_c5(host: Graph) -> bool:
-    return next(induced_c5_iter(host), None) is not None

@@ -290,18 +290,29 @@ class TestChromatic:
         assert h.hexdigest() == "52c81b720a8b629f62b9b494ae8776a5"
 
     def test_atlas_and_sweep_kernels_pinned(self):
-        # DSATUR's colouring (optimal or not) and the clique search's (omega,
+        # DSATUR's greedy colouring (optimal or not), the k-colouring
+        # search's first descent when k = n, and the clique search's (omega,
         # witness) on the same graphs; pinned from the kernels that picked
         # the DSATUR vertex by a tuple key and ran the greedy clique bound
         # at every node
         h = hashlib.md5()
         graphs = atlas_and_sweep()
         for name, g in graphs:
-            k, colors = exact_mod._dsatur_greedy(g)
+            colors = exact_mod._k_colorable(g, g.n, Deadline(None))
+            k = max(colors, default=-1) + 1
             omega, mask = clique_number(g)
             h.update(f"{name} {k} {colors} {omega} {mask}\n".encode())
         assert len(graphs) == 1409
         assert h.hexdigest() == "3b5a796f9347c9137c53aba8033334f1"
+
+    def test_long_cycles_outrun_no_stack(self):
+        # one vertex coloured per search level: 1,000 levels exceeded
+        # Python's default recursion limit when the search recursed
+        odd = cycle(1001)
+        k, colors = chromatic_number(odd)
+        assert k == 3 and is_proper_coloring(odd, colors, 3)
+        assert exact_mod._k_colorable(odd, 2, Deadline(None)) is None
+        assert exact_mod._k_colorable(cycle(1000), 2, Deadline(None)) == [0, 1] * 500
 
     def test_atlas_and_sweep_k_colorable_pinned(self):
         # the k-colouring search's answer for every k in 0..n on the same

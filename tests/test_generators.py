@@ -26,7 +26,7 @@ from domminor.patterns import (
     find_2k2,
     find_banner,
     find_induced,
-    has_induced_c5,
+    find_induced_cycle,
     is_2k2_free,
 )
 
@@ -56,7 +56,7 @@ class TestFamilies:
         assert g.n == 7
         emb = find_banner(g)
         assert emb == (0, 1, 2, 5, 6)
-        assert has_induced_c5(g)
+        assert find_induced_cycle(g, 5) is not None
 
     def test_c4_complement_is_two_k2(self):
         g = complement(cycle(4))

@@ -16,7 +16,7 @@ import pytest
 
 import domminor.hunt as hm
 import domminor.extraction as ex
-from domminor.exact import SearchDeadlineExceeded, has_dominating_kt
+from domminor.exact import SearchDeadlineExceeded, has_dominating_kt, model_to_lists
 from domminor.generators import complete, cycle, one_subdivision_complete, random_gnp
 from domminor.graphs import emit_graph6, from_edge_list
 from domminor.hunt import (
@@ -216,7 +216,10 @@ class TestRunHunt:
         # checkpoint advanced: the stale tail must be dropped and redone
         out = tmp_path / "r.jsonl"
         ckpt = tmp_path / "ckpt.json"
-        ckpt.write_text(json.dumps({"next_line": 2, "output_bytes": 0}))
+        ckpt.write_text(json.dumps({
+            "next_line": 2, "output_bytes": 0, "checks": ["dominating-hadwiger"], "graph_filter": None,
+            "exact_cap": 16, "time_budget_s": 60.0, "input_sha256": hashlib.sha256(b"Dhc\n").hexdigest(),
+        }))
         out.write_text('{"garbage": true}\n')
         summary = run_hunt(
             HuntConfig(
@@ -284,6 +287,33 @@ class TestRunHunt:
         assert summary.counterexamples == ["Dhc", "A_", "C`"]
         recs = read_records(out)
         assert all(r["detail"]["rechecked"] for r in recs)
+
+    @pytest.mark.parametrize("failure", ["raises", "one_set_short"])
+    def test_extractor_failure_is_a_rechecked_counterexample(self, corpus_file, tmp_path, monkeypatch, failure):
+        # an extractor that raises, or returns fewer than chi sets, refutes
+        # its own contract on a 2K2-free graph: C5 and K2 here (2K2 is skipped)
+        real = hm.extract_dominating
+
+        def broken(g):
+            if failure == "raises":
+                raise ex.ExtractionError(f"no model on {g.n} vertices")
+            return real(g)[:-1]
+
+        monkeypatch.setattr(hm, "extract_dominating", broken)
+        out = tmp_path / "r.jsonl"
+        summary = run_hunt(HuntConfig(input_path=str(corpus_file), output_path=str(out), checks=("extraction",)))
+        assert summary.exit_code == 2
+        assert summary.verdicts == {"counterexample": 2, "holds": 1}
+        assert summary.counterexamples == ["Dhc", "A_"]
+        recs = read_records(out)
+        for rec, (g, chi) in zip(recs, ((cycle(5), 3), (complete(2), 2))):
+            if failure == "raises":
+                info = {"outcome": "violated", "error": f"no model on {g.n} vertices"}
+            else:
+                info = {"outcome": "violated", "chi": chi, "model": model_to_lists(real(g)[:-1])}
+            assert rec["verdict"] == "counterexample"
+            assert rec["detail"] == {"extraction": info, "rechecked": True}
+        assert recs[2]["detail"]["extraction"]["outcome"] == "skipped"
 
     def test_internal_error_exit_code(self, corpus_file, tmp_path, monkeypatch):
         import domminor.hunt as hm
@@ -583,7 +613,7 @@ class TestSharedFacts:
         import domminor.patterns as pm
 
         runs = Counter()
-        for module, name in ((em, "_dsatur_greedy"), (pm, "_scan_2k2")):
+        for module, name in ((em, "_k_colorable"), (pm, "_scan_2k2")):
             def counted(*a, _fn=getattr(module, name), _name=name):
                 runs[_name] += 1
                 return _fn(*a)
@@ -592,7 +622,7 @@ class TestSharedFacts:
         verdict, chi, detail = check_graph(complete(4), ALL_CHECKS)
         assert (verdict, chi) == ("holds", 4)
         assert all(d["outcome"] == "ok" for d in detail.values())
-        assert runs == {"_dsatur_greedy": 1, "_scan_2k2": 1}
+        assert runs == {"_k_colorable": 1, "_scan_2k2": 1}
 
     def test_timed_out_fact_is_retried_by_the_next_check(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "chromatic_number", fail_first=("chromatic_number",))
@@ -720,6 +750,22 @@ class TestCheckpointRefusals:
         cfg = HuntConfig(input_path=str(full), output_path=str(out), checkpoint_path=str(ckpt))
         with pytest.raises(HuntError, match="input_sha256"):
             run_hunt(cfg)
+
+    @pytest.mark.parametrize(
+        "field", ["next_line", "output_bytes", "checks", "graph_filter", "exact_cap", "time_budget_s", "input_sha256"]
+    )
+    def test_refuses_checkpoint_missing_a_field(self, tmp_path, field):
+        # a checkpoint without its whole fingerprint cannot be matched to
+        # this run, so it is refused and the output is left as it was
+        full, out, ckpt = self.interrupted(tmp_path)
+        before = out.read_bytes()
+        data = json.loads(ckpt.read_text())
+        del data[field]
+        ckpt.write_text(json.dumps(data))
+        cfg = HuntConfig(input_path=str(full), output_path=str(out), checkpoint_path=str(ckpt))
+        with pytest.raises(HuntError, match=field):
+            run_hunt(cfg)
+        assert out.read_bytes() == before
 
     def test_empty_checkpoint_starts_over(self, tmp_path):
         # a run killed between creating the checkpoint and its first write

@@ -20,7 +20,6 @@ from domminor.patterns import (
     find_banner,
     find_induced,
     find_induced_cycle,
-    has_induced_c5,
     induced_c5_iter,
     is_2k2_free,
     path_template,
@@ -138,7 +137,7 @@ class TestSpecializedScans:
         assert found == sorted(found)
         for tup in found:
             assert verify_embedding(PETERSEN, cycle_template(5), tup)
-        assert has_induced_c5(PETERSEN)
+        assert find_induced_cycle(PETERSEN, 5) is not None
 
 
 def is_split(g):
@@ -214,6 +213,17 @@ class TestCorpusInvariants:
         for n in range(8):
             for g in self._corpus(n):
                 assert (find_2k2(g) is None) == (find_induced(g, TWO_K2) is None)
+
+    def test_first_c5_is_the_least_induced_c5(self):
+        # the extractor partitions around the iterator's first C5, while
+        # ``domminor analyze`` reports find_induced_cycle's: they are one C5
+        count = 0
+        for n in range(9):
+            for g in self._corpus(n):
+                first = next(induced_c5_iter(g), None)
+                assert find_induced_cycle(g, 5) == first
+                count += first is not None
+        assert count == 3580
 
     def test_2k2_complement_duality_all_n_le_7(self):
         for n in range(8):
