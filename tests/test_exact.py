@@ -275,18 +275,11 @@ class TestChromatic:
         # 156 graphs of criterion 1's corpus; the digest was taken when the
         # search started from a greedy clique size instead of the clique number
         h = hashlib.md5()
-        count = 0
-        for n in range(8):
-            for line in (DATA / f"graphs{n}.g6").read_text().split():
-                chi, colors = chromatic_number(parse_graph6(line))
-                h.update(f"{line} {chi} {colors}\n".encode())
-                count += 1
-        for i in range(156):
-            g = random_2k2_free(5 + i % 26, (0.08, 0.15, 0.25, 0.4, 0.6, 0.8)[i % 6], i)
+        graphs = atlas_and_sweep()
+        for name, g in graphs:
             chi, colors = chromatic_number(g)
-            h.update(f"{i} {chi} {colors}\n".encode())
-            count += 1
-        assert count == 1409
+            h.update(f"{name} {chi} {colors}\n".encode())
+        assert len(graphs) == 1409
         assert h.hexdigest() == "52c81b720a8b629f62b9b494ae8776a5"
 
     def test_atlas_and_sweep_kernels_pinned(self):
@@ -305,7 +298,7 @@ class TestChromatic:
         assert len(graphs) == 1409
         assert h.hexdigest() == "3b5a796f9347c9137c53aba8033334f1"
 
-    def test_long_cycles_outrun_no_stack(self):
+    def test_long_cycles_need_no_python_stack(self):
         # one vertex coloured per search level: 1,000 levels exceeded
         # Python's default recursion limit when the search recursed
         odd = cycle(1001)
@@ -327,6 +320,23 @@ class TestChromatic:
                 calls += 1
         assert calls == 12614
         assert h.hexdigest() == "8485da9bcf262c6c2655e31d956b99c5"
+
+    def test_atlas_backtracked_colorings_pinned(self):
+        # the colourings the search finds only after undoing a step: every
+        # k from chi up to below DSATUR's class count, on the atlas graphs
+        # with n <= 8; the pin above never backtracks into a success that a
+        # wrong undo would change; pinned from the recursive search
+        h = hashlib.md5()
+        calls = 0
+        for n in range(9):
+            for line in (DATA / f"graphs{n}.g6").read_text().split():
+                g = parse_graph6(line)
+                dsatur = max(exact_mod._k_colorable(g, g.n, Deadline(None)), default=-1) + 1
+                for k in range(chromatic_number(g)[0], dsatur):
+                    h.update(f"{line} {k} {exact_mod._k_colorable(g, k, Deadline(None))}\n".encode())
+                    calls += 1
+        assert calls == 79
+        assert h.hexdigest() == "d3dec8d636bb379bc52e261b627b495e"
 
 
 class TestCliqueIndependence:
