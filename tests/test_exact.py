@@ -169,6 +169,11 @@ class TestVerifiers:
         lists = [[0, 1, 2], [3], [4]]
         assert model_to_lists(model_from_lists(lists)) == lists
 
+    def test_report_truth_is_its_validity(self):
+        assert not exact_mod.ModelReport(False, "domination", 1, 2, 0, "forced failure")
+        assert not verify_dominating_model(C5, model_from_lists([[4], [3], [0, 1, 2]]))
+        assert verify_dominating_model(C5, model_from_lists([[0, 1, 2], [3], [4]]))
+
 
 class TestDominationReference:
     @staticmethod

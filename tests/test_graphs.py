@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pickle
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from domminor.graphs import (
     emit_edge_list,
     emit_graph6,
     from_edge_list,
+    graph_memo,
     induced_subgraph,
     is_connected_set,
     mask_of,
@@ -86,6 +88,36 @@ class TestConstruction:
     def test_duplicate_edges_collapse(self):
         g = from_edge_list(3, [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count() == 1
+
+
+class TestValueSemantics:
+    def test_equal_graphs_hash_equal_and_share_one_memo_entry(self):
+        computed = []
+
+        @graph_memo
+        def edge_count(g):
+            computed.append(g)
+            return g.edge_count()
+
+        g = from_edge_list(5, C5_EDGES)
+        twin = parse_graph6(emit_graph6(g))
+        assert twin == g and twin is not g and hash(twin) == hash(g)
+        assert edge_count(g) == edge_count(twin) == 5
+        assert computed == [g]
+        assert edge_count.cache_info() == (1, 1, 1)
+
+    def test_pickle_round_trip(self):
+        g = from_edge_list(5, C5_EDGES)
+        back = pickle.loads(pickle.dumps(g))
+        assert type(back) is Graph and back == g and hash(back) == hash(g)
+
+    def test_fields_cannot_be_assigned(self):
+        g = from_edge_list(5, C5_EDGES)
+        with pytest.raises(AttributeError):
+            g.n = 3
+        with pytest.raises(AttributeError):
+            g.adj = ()
+        assert g == from_edge_list(5, C5_EDGES)
 
 
 class TestGraph6:

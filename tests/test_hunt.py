@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -125,6 +126,13 @@ class TestCheckGraph:
 
 
 class TestRunHunt:
+    def test_config_survives_pickle(self):
+        # every chunk sent to a worker carries the config
+        cfg = HuntConfig(checks=ALL_CHECKS, graph_filter="2k2-free", workers=2, time_budget_s=None, exact_cap=12)
+        back = pickle.loads(pickle.dumps(cfg))
+        assert type(back) is HuntConfig and back == cfg
+        back.validate()
+
     def test_basic_corpus(self, corpus_file, tmp_path):
         out = tmp_path / "records.jsonl"
         cfg = HuntConfig(input_path=str(corpus_file), output_path=str(out))
