@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .graphs import (
     Graph, _reach, bits, complement, connected_components, graph_memo, induced_subgraph, is_connected_set, mask_of,
@@ -61,8 +60,7 @@ _UNBUDGETED = Deadline(None)  # never stops, and its tick returns at once; share
 # model verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelReport:
+class ModelReport(NamedTuple):
     """Verdict of a model check; indices are 1-based (T_1, ..., T_t)."""
 
     valid: bool
@@ -242,15 +240,18 @@ def clique_number(g: Graph, _ub: int | None = None) -> tuple[int, int]:
     remembered for the last ``GRAPH_MEMO_SIZE`` (64) distinct graphs, keyed
     by the graph (see :func:`~domminor.graphs.graph_memo`).
 
-    The search stops as soon as its clique is as large as an upper bound on
-    omega, the class count of a proper colouring (omega <= chi), so nothing
-    larger exists.  The lexicographic search only updates its best clique
-    on a strict gain, so the first clique of that size it meets is the one
-    the unstopped search would return; the stop skips only the proof of
-    optimality.  ``_ub`` is that bound, given by :func:`chromatic_number`,
-    which has DSATUR's count (Brelaz 1979) at hand.  Without it the bound is
-    the class count of one greedy colouring in index order, which costs less
-    than a DSATUR run.  It is used only on a memo miss.
+    The lexicographic branch and bound runs on its own stack, one frame per
+    clique vertex, so no clique is too large for it.  It stops as soon as
+    its clique is as large as an upper bound on omega, the class count of a
+    proper colouring (omega <= chi), so nothing larger exists; the best
+    clique changes only at a leaf, so that is where the stop is tested.  The
+    search only updates its best clique on a strict gain, so the first
+    clique of that size it meets is the one the unstopped search would
+    return; the stop skips only the proof of optimality.  ``_ub`` is that
+    bound, given by :func:`chromatic_number`, which has DSATUR's count
+    (Brelaz 1979) at hand.  Without it the bound is the class count of one
+    greedy colouring in index order, which costs less than a DSATUR run.  It
+    is used only on a memo miss.
     """
     if g.n == 0:
         return 0, 0
@@ -258,32 +259,28 @@ def clique_number(g: Graph, _ub: int | None = None) -> tuple[int, int]:
     adj = g.adj
     best_size = 0
     best_mask = 0
-
-    def expand(r_mask: int, r_size: int, p: int) -> None:
-        nonlocal best_size, best_mask
-        if p == 0:
+    frames = []  # the open frames: (clique, its size, candidates not yet tried)
+    r_mask, r_size, p = 0, 0, g.full_mask  # the frame entered next
+    while True:
+        if not p:
             if r_size > best_size:
                 best_size, best_mask = r_size, r_mask
-            return
+                if best_size == stop:
+                    break
         # the candidate count is the cheap bound, the greedy colouring the tight one
-        if r_size + p.bit_count() <= best_size:
-            return
-        if r_size + _greedy_class_count(adj, p, best_size - r_size + 1) <= best_size:
-            return
-        while p:
-            if r_size + p.bit_count() <= best_size:
-                return
-            v = (p & -p).bit_length() - 1
-            b = 1 << v
-            expand(r_mask | b, r_size + 1, p & adj[v])
-            if best_size == stop:
-                return
-            p &= ~b
-
-    try:
-        expand(0, 0, g.full_mask)
-    finally:
-        del expand  # the closure refers to itself; free it without the cyclic collector
+        elif (r_size + p.bit_count() > best_size
+              and r_size + _greedy_class_count(adj, p, best_size - r_size + 1) > best_size):
+            frames.append((r_mask, r_size, p))
+        while frames:  # enter the next candidate of the innermost open frame
+            r_mask, r_size, p = frames[-1]
+            if p and r_size + p.bit_count() > best_size:
+                b = p & -p
+                frames[-1] = (r_mask, r_size, p ^ b)
+                r_mask, r_size, p = r_mask | b, r_size + 1, p & adj[b.bit_length() - 1]
+                break
+            frames.pop()
+        else:
+            break
     return best_size, best_mask
 
 

@@ -54,7 +54,7 @@ a limit (``CapacityError``), not an extraction fault.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .exact import (
     CapacityError,
@@ -119,11 +119,13 @@ class EnumerationCapError(CapacityError):
     """The induced-C5 enumeration exceeded ``DEFAULT_C5_CAP`` embeddings."""
 
 
-@dataclass
 class Trace:
     """Collects one event per branch taken; JSONL-serializable."""
 
-    events: list[dict] = field(default_factory=list)
+    __slots__ = ("events",)
+
+    def __init__(self):
+        self.events: list[dict] = []
 
     def record(self, depth: int, branch: str, **extra) -> None:
         self.events.append({"depth": depth, "branch": branch, **extra})
@@ -133,8 +135,7 @@ class Trace:
             fh.writelines(json.dumps(e) + "\n" for e in self.events)
 
 
-@dataclass(frozen=True)
-class Structure:
+class Structure(NamedTuple):
     """The banner step's apex pair: b4, b5 extend the banner to its forced host."""
 
     b4: int

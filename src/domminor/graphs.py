@@ -5,13 +5,14 @@ every vertex set (neighborhoods, branch sets, pattern witnesses, ...) is a
 plain Python int used as a bitmask: bit ``v`` set means vertex ``v`` is in the
 set.  ``Graph.adj[v]`` is the open neighborhood ``N(v)`` as such a mask.
 
-Graphs are immutable after construction and safe to share between workers.
+A ``Graph`` is a ``NamedTuple``: immutable after construction, safe to share
+between workers, and equal and hashed as the tuple ``(n, adj)``, in C, which
+makes it a cheap key for the per-graph memo (``graph_memo``).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 DEFAULT_GRAPH6_CAP = 512  # largest vertex count parsed, in graph6 or edge-list text
@@ -69,9 +70,9 @@ def set_to_list(mask: int) -> list[int]:
     return list(bits(mask))
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph as a tuple of neighborhood bitmasks."""
+class Graph(NamedTuple):
+    """Simple undirected graph as a tuple of neighborhood bitmasks.  Its
+    equality and hash are those of the tuple ``(n, adj)``."""
 
     n: int
     adj: tuple[int, ...]

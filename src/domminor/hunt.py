@@ -58,15 +58,14 @@ The checks:
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import os
 import sys
 import time
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 try:  # CPython's own sha256; hashlib's would load OpenSSL, which adds about
     from _sha2 import sha256  # 4 MB of resident memory to every hunt process
@@ -106,8 +105,7 @@ class HuntError(Exception):
     """Operational failure (unreadable input, bad configuration, ...)."""
 
 
-@dataclass(frozen=True)
-class HuntConfig:
+class HuntConfig(NamedTuple):
     input_path: str | None = None  # None reads standard input
     output_path: str | None = None  # None writes records to standard output
     checks: tuple[str, ...] = ("dominating-hadwiger",)
@@ -293,13 +291,15 @@ def _process_chunk(cfg: HuntConfig, lines: list[tuple[int, str]]) -> list[tuple]
 # the run loop
 # ---------------------------------------------------------------------------
 
-@dataclass
 class HuntSummary:
-    total: int = 0
-    verdicts: dict = field(default_factory=dict)
-    counterexamples: list = field(default_factory=list)
-    elapsed_s: float = 0.0
-    graphs_per_s: float = 0.0
+    __slots__ = ("total", "verdicts", "counterexamples", "elapsed_s", "graphs_per_s")
+
+    def __init__(self):
+        self.total = 0
+        self.verdicts: dict[str, int] = {}
+        self.counterexamples: list[str] = []
+        self.elapsed_s = 0.0
+        self.graphs_per_s = 0.0
 
     def add(self, verdict: str, graph6: str) -> None:
         """Count one record."""
@@ -366,10 +366,11 @@ class _Checkpoint:
 
         An empty checkpoint counts as none: a run killed between creating it
         and its first write leaves one, and no record was checkpointed.
-        Consumes and hashes the lines of ``lines`` before ``next_line``.
         Refuses a checkpoint that lacks a fingerprint field or whose stored
         fields differ from this run's, and an output file shorter than the
-        bytes the checkpoint counted.
+        bytes the checkpoint counted.  The fields present and the settings
+        are checked first; only then are the lines of ``lines`` before
+        ``next_line`` consumed and hashed, and the hash compared.
         """
         if self.path is None or not os.path.exists(self.path) or os.path.getsize(self.path) == 0:
             return 0, 0
@@ -379,11 +380,15 @@ class _Checkpoint:
             next_line, output_bytes = int(data["next_line"]), int(data["output_bytes"])
         except (ValueError, KeyError, TypeError, OSError) as exc:
             raise HuntError(f"unreadable checkpoint {self.path}: {exc}") from exc
-        for _, ln in islice(lines, max(next_line - 1, 0)):
-            self.sha.update(ln.encode() + b"\n")
-        for key, value in self._fields(next_line, output_bytes, self.sha.hexdigest()).items():
+        fields = self._fields(next_line, output_bytes, None)
+        for key in fields:
             if key not in data:
                 raise HuntError(f"checkpoint {self.path} lacks {key}, so it cannot be matched to this run")
+        for key, value in fields.items():
+            if key == "input_sha256":  # the last field, so no line is read for a refused setting
+                for _, ln in islice(lines, max(next_line - 1, 0)):
+                    self.sha.update(ln.encode() + b"\n")
+                value = self.sha.hexdigest()
             if data[key] != value:
                 raise HuntError(
                     f"checkpoint {self.path} does not match this run: "
@@ -496,7 +501,7 @@ def run_hunt(cfg: HuntConfig, record_stream=None) -> HuntSummary:
             out_fh = record_stream if record_stream is not None else sys.stdout
 
         pool = stack.enter_context(ProcessPoolExecutor(cfg.workers)) if cfg.workers > 1 else _InProcess()
-        unbudgeted = dataclasses.replace(cfg, time_budget_s=None)
+        unbudgeted = cfg._replace(time_budget_s=None)
         graphs = checkpoint.graph_lines(lines)
         window: deque = deque()  # (future, next line, input sha256) per chunk, in input order
         while True:

@@ -312,6 +312,14 @@ class TestChromatic:
         assert exact_mod._k_colorable(odd, 2, Deadline(None)) is None
         assert exact_mod._k_colorable(cycle(1000), 2, Deadline(None)) == [0, 1] * 500
 
+    def test_large_cliques_need_no_python_stack(self):
+        # one clique vertex per search level: the clique search recursed
+        # once per vertex, so K_1001 exceeded the default recursion limit
+        k1001 = complete(1001)
+        assert clique_number(k1001) == (1001, k1001.full_mask)
+        k, colors = chromatic_number(k1001)
+        assert k == 1001 and sorted(colors) == list(range(1001))
+
     def test_atlas_and_sweep_k_colorable_pinned(self):
         # the k-colouring search's answer for every k in 0..n on the same
         # graphs: a colouring, or None below chi; pinned from the recursive

@@ -750,6 +750,28 @@ class TestCheckpointRefusals:
             run_hunt(cfg)
         assert out.read_bytes() == before
 
+    def test_refuses_other_settings_before_reading_input(self, tmp_path):
+        # the settings are compared before the consumed prefix is read and
+        # hashed, so a refusal reads no input line, however far the run got
+        _, out, ckpt = self.interrupted(tmp_path)
+        data = json.loads(ckpt.read_text())
+        data["next_line"] = 10**6
+        ckpt.write_text(json.dumps(data))
+        taken = 0
+
+        def lines():
+            nonlocal taken
+            for no, ln in enumerate(self.LINES * 25, start=1):
+                taken += 1
+                yield no, ln
+
+        cfg = HuntConfig(output_path=str(out), checkpoint_path=str(ckpt), checks=("t3-equivalence",))
+        message = "does not match this run: checks is ['dominating-hadwiger'] there and ['t3-equivalence'] here"
+        with pytest.raises(HuntError) as refused:
+            hm._Checkpoint(cfg).read(lines())
+        assert str(refused.value) == f"checkpoint {ckpt} {message}"
+        assert taken == 0
+
     def test_refuses_other_consumed_input(self, tmp_path):
         full, out, ckpt = self.interrupted(tmp_path)
         lines = list(self.LINES)

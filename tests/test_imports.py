@@ -3,10 +3,14 @@
 A name bound by a top-level ``import`` or ``from ... import`` must be read
 somewhere in its module, or be listed in its ``__all__``.  Left out:
 ``from __future__`` imports, ``__init__.py`` files, whose imports are their
-re-exports, and ``bench/``, which belongs to the benchmark.
+re-exports, and ``bench/``, which belongs to the benchmark.  And the package
+itself loads no ``dataclasses``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,3 +39,11 @@ def test_no_unused_module_level_imports():
     files = sorted(p for d in CHECKED for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
     assert len(files) > 10
     assert [u for p in files for u in unused_imports(p)] == []
+
+
+def test_cli_loads_no_dataclasses():
+    # every hunt worker imports the package; dataclasses would load inspect
+    # into each, and the value types are NamedTuples and plain classes
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = "import domminor.cli, sys; assert 'dataclasses' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
