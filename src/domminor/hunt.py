@@ -31,7 +31,7 @@ The checkpoint also stores a fingerprint of its run: the checks, filter,
 search cap and time budget, and the sha256 of the input lines it consumed.
 A resume is refused when a field is missing or differs, or when the output
 file holds fewer bytes than the checkpoint counted, since records would be
-lost.
+lost.  The settings are compared before the consumed input is read.
 
 Checks live in the ``_CHECKS`` table (name -> function of the graph, the
 search cap and the record's one deadline, which bounds its chi, searches and
