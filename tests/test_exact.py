@@ -1069,6 +1069,20 @@ class TestEdgeBound:
         with pytest.raises(SearchDeadlineExceeded):
             has_dominating_kt(random_gnp(16, 0.25, 3), 6, deadline=Deadline(1e-4))
 
+    @pytest.mark.parametrize("make, t, found", [
+        (lambda: random_2k2_free(14, 0.3, 1), 8, False),
+        (lambda: random_gnp(16, 0.25, 3), 5, True),
+    ])
+    def test_budgeted_search_ticks_once_per_walked_set(self, monkeypatch, make, t, found):
+        # a refutation whose walk is mostly sets of later branch sets, and a
+        # found probe: a budgeted deadline ticks once per set walked at
+        # either level, so its counter equals the walker's yields
+        g = make()
+        yields = self.count_walk(monkeypatch)
+        deadline = Deadline(1e9)
+        assert (has_dominating_kt(g, t, deadline=deadline) is not None) == found
+        assert deadline.counter == yields[0] > 1_000
+
 
 class TestExcessCut:
     # a mask R that splits into r >= 4 sets has e(R) - |R| >= r(r - 3)/2, and
