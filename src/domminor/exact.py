@@ -513,19 +513,21 @@ def _largest_set(adj: tuple[int, ...], m: int, rest: int, cap: int) -> int:
     return limit
 
 
-def _growth_test(g: Graph, need: int, count: Callable[[int], int]) -> Callable[[int], bool]:
-    """A test of a connected or empty vertex set S: false only when every R
-    outside S has e(R) - |R| < ``need``, which then holds for every
-    superset of S too.
+def _growth_test(
+    g: Graph, need: int, count: Callable[[int], int], base: int | None = None,
+) -> Callable[[int], bool]:
+    """A test of a connected or empty vertex set S inside the base mask
+    (default V): false only when every R inside base - S has e(R) - |R| <
+    ``need``, which then holds for every superset of S too.
 
-    With W = V - S, the 2-core of G[W] is peeled only when e(W) - |W|, one
-    step of the graph's :func:`_edge_counter` ``count``, falls short of
+    With W = base - S, the 2-core of G[W] is peeled only when e(W) - |W|,
+    one step of the graph's :func:`_edge_counter` ``count``, falls short of
     ``need``.  That is exact for X = W, so at most the 2-core excess, the
     largest e(X) - |X| over X inside W: the test is true as often as the
     peel alone.
     """
     adj = g.adj
-    full = g.full_mask
+    full = g.full_mask if base is None else base
 
     def grows(s: int) -> bool:
         w = full & ~s
@@ -618,40 +620,46 @@ def has_dominating_kt(
     if omega >= t:
         model = tuple(1 << v for v in set_to_list(cmask)[:t])
         return model
-    deadline = deadline or _UNBUDGETED
+    tick = None if deadline is None or deadline.at is None else deadline.tick
     dead = bytearray(1 << g.n) if _dead is None else _dead
     adj = g.adj
     count = _edge_counter(adj)
+    walk = _connected_sets_with_neighbors
     chosen: list[int] = []
 
-    def splits(m: int, r: int) -> bool:
-        """Whether ``m`` passes the memo and the cuts for ``r`` sets."""
-        size = m.bit_count()
-        if size < r or 0 < dead[m] <= r:
-            return False
-        if count(m) < r * (r - 1) // 2 + size - r or _reach(g, m & -m, m) != m:
-            dead[m] = r
-            return False
-        return True
-
     def part(m: int, r: int, cap: int) -> bool:
-        # m passed ``splits(m, r)`` and cap >= ω(G[m]); on success ``chosen``
-        # ends with the r sets
+        # m passed the split test for r sets and cap >= ω(G[m]); on success
+        # ``chosen`` ends with the r sets
         if r == 1:
             chosen.append(m)
             return True
         rest = r - 1
+        edges = rest * (rest - 3) // 2  # C(rest, 2) - rest
         limit = _largest_set(adj, m, rest, cap)
-        u = min(bits(m), key=lambda v: (adj[v] & m).bit_count())
-        roots = adj[u] & m | 1 << u
+        grows = _growth_test(g, edges, count, m) if rest >= 4 else None
+        u, fewest, left = 0, m.bit_count(), m
+        while left:
+            low = left & -left
+            left ^= low
+            degree = (adj[low.bit_length() - 1] & m).bit_count()
+            if degree < fewest:
+                u, fewest = low, degree
+        roots = adj[u.bit_length() - 1] & m | u
         within = m
         while roots:
             x = roots & -roots
             roots ^= x
-            for s, nb in _connected_sets_with_neighbors(g, within, limit, x):
-                deadline.tick()
+            for s, nb in walk(g, within, limit, x, grows):
+                if tick is not None:
+                    tick()
                 nxt = m & ~s
-                if nxt & ~nb or not splits(nxt, rest):
+                if nxt & ~nb:
+                    continue
+                size = nxt.bit_count()
+                if size < rest or 0 < dead[nxt] <= rest:
+                    continue
+                if count(nxt) < edges + size or _reach(g, nxt & -nxt, nxt) != nxt:
+                    dead[nxt] = rest
                     continue
                 chosen.append(s)
                 if part(nxt, rest, cap - (s & (s - 1) == 0)):
@@ -662,25 +670,30 @@ def has_dominating_kt(
         return False
 
     rest = t - 1
+    edges = rest * (rest - 3) // 2
     full = g.full_mask
     grows = None
     if rest >= 4:
-        grows = _growth_test(g, rest * (rest - 3) // 2, count)
+        grows = _growth_test(g, edges, count)
         if not grows(0):
             return None
     model = None
     try:
-        for s, nb in _connected_sets_with_neighbors(
-            g, full, _largest_set(adj, full, rest, omega), None, grows
-        ):
-            deadline.tick()
+        for s, nb in walk(g, full, _largest_set(adj, full, rest, omega), None, grows):
+            if tick is not None:
+                tick()
             r_mask = nb & ~s
-            if splits(r_mask, rest):
-                chosen.append(s)
-                if part(r_mask, rest, omega - (s & (s - 1) == 0)):
-                    model = tuple(chosen)
-                    break
-                chosen.pop()
+            size = r_mask.bit_count()
+            if size < rest or 0 < dead[r_mask] <= rest:
+                continue
+            if count(r_mask) < edges + size or _reach(g, r_mask & -r_mask, r_mask) != r_mask:
+                dead[r_mask] = rest
+                continue
+            chosen.append(s)
+            if part(r_mask, rest, omega - (s & (s - 1) == 0)):
+                model = tuple(chosen)
+                break
+            chosen.pop()
     finally:
         del part  # the closure refers to itself; free it without the cyclic collector
     if model is not None:

@@ -653,9 +653,9 @@ class TestConnectedSetWalker:
         growth_test = exact_mod._growth_test
         hooks: list[Counter] = []
 
-        def counting_growth_test(g, need, count):
+        def counting_growth_test(g, need, count, base=None):
             hooks.append(Counter())
-            return counted(growth_test(g, need, count), hooks[-1])
+            return counted(growth_test(g, need, count, base), hooks[-1])
 
         monkeypatch.setattr(exact_mod, "_growth_test", counting_growth_test)
         assert has_dominating_kt(g, 6) is None
@@ -891,9 +891,10 @@ class TestDeadStateMemo:
                     if r:
                         assert not self.brute_splits(g, m, r), (line, m, r)
                         entries += 1
-        # 19,993 before the ω cap on the singleton bound, 23,566 before the
-        # T_1 walk's excess cut
-        assert entries == 18_860
+        # 18,860 before the excess cut at every level of the partition walk,
+        # whose shorter walks record fewer dead masks; 19,993 before the ω cap
+        # on the singleton bound, 23,566 before the T_1 walk's excess cut
+        assert entries == 18_838
 
     def test_invalid_model_raises_without_assert(self, monkeypatch):
         # the model check must hold under ``python -O`` too, so it may not be an assert
@@ -1138,6 +1139,37 @@ class TestExcessCut:
         yields = TestEdgeBound.count_walk(monkeypatch)
         assert has_dominating_kt(random_gnp(16, 0.25, 3), 6) is None
         assert yields[0] <= 1_000  # 14,645 without the cut
+
+    def test_growth_test_on_a_base_mask_is_sound(self):
+        # inside a base mask m, the test of S may be false only if every X
+        # inside m - S has e(X) - |X| < need, and it is true exactly when the
+        # 2-core excess of G[m - S] reaches need
+        rng = random.Random(30)
+        tested = cut = 0
+        for n in range(1, 8):
+            for line in (DATA / f"graphs{n}.g6").read_text().split():
+                g = parse_graph6(line)
+                edges = exact_mod._edge_counter(g.adj)
+                best = self.brute_excess(g)
+                for _ in range(3):
+                    m = rng.getrandbits(n)
+                    need = rng.randint(0, 6)
+                    grows = exact_mod._growth_test(g, need, edges, m)
+                    for s in (0, *enumerate_connected_sets(g, m)):
+                        w = m & ~s
+                        grown = grows(s)
+                        assert grown == (exact_mod._core_excess(g.adj, w, edges) >= need), (line, m, s, need)
+                        assert grown or best[w] < need, (line, m, s, need)
+                        tested += 1
+                        cut += not grown
+        assert (tested, cut) == (39_886, 33_514)
+
+    def test_partition_walks_stay_cut(self, monkeypatch):
+        # a refutation whose walk is mostly sets of later branch sets, which
+        # the excess cut at every level of the partition walk shortens
+        yields = TestEdgeBound.count_walk(monkeypatch)
+        assert has_dominating_kt(random_2k2_free(14, 0.3, 1), 8) is None
+        assert yields[0] == 3_408  # 8,488 with the cut on the T_1 walk alone
 
     def test_refutes_before_any_walk(self, monkeypatch):
         # a path has no cycle, so its 2-core is empty and no R reaches 2
