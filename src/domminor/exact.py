@@ -601,6 +601,15 @@ def has_dominating_kt(
     at most the 2-core excess, falls short.  For r <= 3, need <= 0 and the
     test is off.
 
+    Every level of ``part(m, r)`` is cut the same way, on the base mask m.
+    With rest = r - 1 >= 4, the mask m - S' after a set S' splits into rest
+    sets only if e(m - S') - |m - S'| >= rest(rest - 3)/2.  Every S' walked
+    below S contains S, so m - S' lies inside m - S, and the largest
+    e(X) - |X| over X inside m - S is the 2-core excess of G[m - S].  So
+    once that falls below rest(rest - 3)/2, no set below S passes, and the
+    walker does not grow S.  Both walks test each split inline: the size,
+    the dead memo, the edge bound, then connectivity.
+
     Dead states are memoised: ``dead[R]`` is the smallest r for which R is
     proven not to split (0: unknown), and a mask that fails the cuts is
     recorded too.  Failure is monotone in r, since merging the last two sets
@@ -608,8 +617,9 @@ def has_dominating_kt(
     ``dominating_hadwiger_number`` shares one memo across its probes through
     ``_dead``.  The memo is a ``bytearray`` of 2^n bytes (64 KiB at the
     default cap).  The memo and the cuts skip only subtrees that fail, so the
-    returned model is the first normal-form model of the walk order.  The
-    deadline ticks once per walked set.
+    returned model is the first normal-form model of the walk order.  A
+    budgeted deadline ticks once per walked set; an unbudgeted one (``None``
+    or ``Deadline(None)``) is never called.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -634,9 +644,9 @@ def has_dominating_kt(
             chosen.append(m)
             return True
         rest = r - 1
-        edges = rest * (rest - 3) // 2  # C(rest, 2) - rest
+        need = rest * (rest - 3) // 2  # the least e(R) - |R| of an R that splits into rest sets
         limit = _largest_set(adj, m, rest, cap)
-        grows = _growth_test(g, edges, count, m) if rest >= 4 else None
+        grows = _growth_test(g, need, count, m) if rest >= 4 else None
         u, fewest, left = 0, m.bit_count(), m
         while left:
             low = left & -left
@@ -658,7 +668,7 @@ def has_dominating_kt(
                 size = nxt.bit_count()
                 if size < rest or 0 < dead[nxt] <= rest:
                     continue
-                if count(nxt) < edges + size or _reach(g, nxt & -nxt, nxt) != nxt:
+                if count(nxt) < need + size or _reach(g, nxt & -nxt, nxt) != nxt:
                     dead[nxt] = rest
                     continue
                 chosen.append(s)
@@ -670,11 +680,11 @@ def has_dominating_kt(
         return False
 
     rest = t - 1
-    edges = rest * (rest - 3) // 2
+    need = rest * (rest - 3) // 2
     full = g.full_mask
     grows = None
     if rest >= 4:
-        grows = _growth_test(g, edges, count)
+        grows = _growth_test(g, need, count)
         if not grows(0):
             return None
     model = None
@@ -686,7 +696,7 @@ def has_dominating_kt(
             size = r_mask.bit_count()
             if size < rest or 0 < dead[r_mask] <= rest:
                 continue
-            if count(r_mask) < edges + size or _reach(g, r_mask & -r_mask, r_mask) != r_mask:
+            if count(r_mask) < need + size or _reach(g, r_mask & -r_mask, r_mask) != r_mask:
                 dead[r_mask] = rest
                 continue
             chosen.append(s)
