@@ -211,11 +211,11 @@ def _edge_counter(adj: tuple[int, ...]) -> Callable[[int], int]:
     return count
 
 
-def _core_excess(adj: tuple[int, ...], w: int, count: Callable[[int], int]) -> int:
-    """e(C) - |C| for the 2-core C of the subgraph induced by ``w``, 0 if C
-    is empty: the largest e(X) - |X| over the vertex sets X inside ``w``
-    (see :func:`has_dominating_kt`).  ``count`` is the graph's
-    :func:`_edge_counter`, which gives e(C) in one step.
+def _two_core(adj: tuple[int, ...], w: int) -> int:
+    """The 2-core of the subgraph induced by ``w``: the vertices left once
+    vertices of degree at most 1 are deleted while any remain.  Its excess
+    e(C) - |C|, or 0 if it is empty, is the largest e(X) - |X| over the
+    vertex sets X inside ``w`` (see :func:`has_dominating_kt`).
 
     The peel deletes vertices of degree at most 1 in ascending order, and
     visits again the one neighbour of each vertex it deletes, whose degree
@@ -229,7 +229,7 @@ def _core_excess(adj: tuple[int, ...], w: int, count: Callable[[int], int]) -> i
         if nb & (nb - 1) == 0:
             w ^= low
             m |= nb
-    return count(w) - w.bit_count()
+    return w
 
 
 @graph_memo
@@ -524,14 +524,18 @@ def _growth_test(
     one step of the graph's :func:`_edge_counter` ``count``, falls short of
     ``need``.  That is exact for X = W, so at most the 2-core excess, the
     largest e(X) - |X| over X inside W: the test is true as often as the
-    peel alone.
+    peel alone.  A peel that deletes no vertex leaves that excess, so the
+    edges are counted again only when the core is smaller than W.
     """
     adj = g.adj
     full = g.full_mask if base is None else base
 
     def grows(s: int) -> bool:
         w = full & ~s
-        return count(w) - w.bit_count() >= need or _core_excess(adj, w, count) >= need
+        if count(w) - w.bit_count() >= need:
+            return True
+        core = _two_core(adj, w)
+        return core != w and count(core) - core.bit_count() >= need
 
     return grows
 
@@ -564,17 +568,11 @@ def has_dominating_kt(
     each root x in N_R[u], inside R minus the earlier roots.  The walker
     hands over N(S) with each set S, grown along with S.
 
-    A mask R is split into r sets only if |R| >= r, R is connected and G[R]
-    has at least C(r, 2) + |R| - r edges: the r sets are disjoint, connected
-    and pairwise adjacent, so they need |R| - r edges inside them and one
-    edge between each pair.  Edges are counted by :func:`_edge_counter`, in
-    a constant number of big-int operations per mask; the counter is built
-    once per call, after the clique shortcut.  At both levels, the size of
-    the set walked is capped by the singleton-clique bound of
-    :func:`_largest_set`, given a cap on ω of the mask walked.  The T_1
-    walk passes ω(G).  ``part(m, r, cap)`` gets ω(G) - [T_1 is one vertex]
-    and passes cap - [S is one vertex] on to the mask after S.  That is an
-    upper bound on ω(G[m]):
+    At both levels, the size of the set walked is capped by the
+    singleton-clique bound of :func:`_largest_set`, given a cap on ω of the
+    mask walked.  The T_1 walk passes ω(G).  ``part(m, r, cap)`` gets ω(G) -
+    [T_1 is one vertex] and passes cap - [S is one vertex] on to the mask
+    after S.  That is an upper bound on ω(G[m]):
 
     - every vertex of m is adjacent to every set chosen before it, since
       R lies inside N(T_1) and each chosen S passed the ``nxt & ~nb`` test;
@@ -582,33 +580,48 @@ def has_dominating_kt(
       vertex of an earlier such mask), is a clique of G, and ω(G[m]) <=
       ω(G) - (the number of those singletons);
     - so cap >= ω(G[m]) is a fact about the mask m alone, whichever path
-      reached it, and the cut it gives drops only splits that do not exist;
+      reached it, and the cuts it gives drop only splits that do not exist;
     - so ``dead[m] = r`` stays true for every t, every probe and every path
       that reaches m.
 
-    The T_1 walk is cut by the same edge bound.  With r = t - 1 >= 4, a mask
-    R that splits has e(R) - |R| >= need = r(r - 3)/2.  Every T_1 walked
-    below a set S contains S, so its R lies inside W = V - S.  The largest
-    e(X) - |X| over X inside W is e(C) - |C| for the 2-core C of G[W], or 0
-    if C is empty (:func:`_core_excess`).  Deleting a vertex of degree at
-    most 1 never lowers e(X) - |X|, so X loses nothing when peeled to its
-    own 2-core, which lies inside C.  And for Y inside a set Z of minimum
-    degree 2 or more, the edges meeting Z - Y number at least half their
-    degree sum, so at least |Z - Y|: e(Y) - |Y| <= e(Z) - |Z|.  So once the
-    2-core excess of G - S falls below need, no set below S passes, and the
-    walker does not grow S (:func:`_growth_test`); the test refutes at S
-    empty before any walk.  The peel runs only when e(W) - |W|, exact and
-    at most the 2-core excess, falls short.  For r <= 3, need <= 0 and the
-    test is off.
+    A mask R is split into r sets only if |R| >= r, R is connected and G[R]
+    has the edges of the domination edge bound.  Let T_1, ..., T_r be a
+    dominating model inside R with at most c one-vertex sets.  Each vertex
+    of T_j has a neighbour in each of T_1, ..., T_{j-1}: j - 1 edges, each
+    counted only from its end in the later set.  Each T_j is connected, so
+    it holds |T_j| - 1 edges of its own.  So e(R) >= sum (|T_j| - 1) + sum
+    |T_j|(j - 1) = |R| - r + C(r, 2) + sum (|T_j| - 1)(j - 1).  At least r -
+    min(r, c) sets have two or more vertices, each at its own j, so the last
+    sum is at least C(r - min(r, c), 2):
 
-    Every level of ``part(m, r)`` is cut the same way, on the base mask m.
-    With rest = r - 1 >= 4, the mask m - S' after a set S' splits into rest
-    sets only if e(m - S') - |m - S'| >= rest(rest - 3)/2.  Every S' walked
-    below S contains S, so m - S' lies inside m - S, and the largest
-    e(X) - |X| over X inside m - S is the 2-core excess of G[m - S].  So
-    once that falls below rest(rest - 3)/2, no set below S passes, and the
-    walker does not grow S.  Both walks test each split inline: the size,
-    the dead memo, the edge bound, then connectivity.
+        e(R) - |R| >= need(r, c) = r(r - 3)/2 + C(r - min(r, c), 2).
+
+    The one-vertex sets are pairwise adjacent, a clique of G[R], so c may be
+    the cap on ω(G[R]) that ``part`` receives, and need falls as c grows.
+    Edges are counted by :func:`_edge_counter`, in a constant number of
+    big-int operations per mask; the counter is built once per call, after
+    the clique shortcut.
+
+    The T_1 walk is cut by the same edge bound.  With rest = t - 1, every R
+    has a cap of at most ω(G), so an R that splits has e(R) - |R| >=
+    need(rest, ω(G)).  Every T_1 walked below a set S contains S, so its R
+    lies inside W = V - S.  The largest e(X) - |X| over X inside W is e(C) -
+    |C| for the 2-core C of G[W], or 0 if C is empty (:func:`_two_core`).
+    Deleting a vertex of degree at most 1 never lowers e(X) - |X|, so X
+    loses nothing when peeled to its own 2-core, which lies inside C.  And
+    for Y inside a set Z of minimum degree 2 or more, the edges meeting Z -
+    Y number at least half their degree sum, so at least |Z - Y|: e(Y) - |Y|
+    <= e(Z) - |Z|.  So once the 2-core excess of G - S falls below that
+    need, no set below S passes, and the walker does not grow S
+    (:func:`_growth_test`); the test refutes at S empty before any walk.
+    The peel runs only when e(W) - |W|, exact and at most the 2-core excess,
+    falls short.  The test is on whenever its need is positive.
+
+    Every level of ``part(m, r, cap)`` is cut the same way, on the base mask
+    m, with need(r - 1, cap): the mask m - S' after a set S' has a cap of at
+    most cap, and every S' walked below S contains S, so m - S' lies inside
+    m - S.  Both walks test each split inline: the size, the dead memo, the
+    edge bound with the cap of the mask after S, then connectivity.
 
     Dead states are memoised: ``dead[R]`` is the smallest r for which R is
     proven not to split (0: unknown), and a mask that fails the cuts is
@@ -644,9 +657,10 @@ def has_dominating_kt(
             chosen.append(m)
             return True
         rest = r - 1
-        need = rest * (rest - 3) // 2  # the least e(R) - |R| of an R that splits into rest sets
+        k = max(0, rest - cap)  # the fewest sets of two or more vertices
+        need = rest * (rest - 3) // 2 + k * (k - 1) // 2  # need(rest, cap)
         limit = _largest_set(adj, m, rest, cap)
-        grows = _growth_test(g, need, count, m) if rest >= 4 else None
+        grows = _growth_test(g, need, count, m) if need > 0 else None
         u, fewest, left = 0, m.bit_count(), m
         while left:
             low = left & -left
@@ -668,11 +682,13 @@ def has_dominating_kt(
                 size = nxt.bit_count()
                 if size < rest or 0 < dead[nxt] <= rest:
                     continue
-                if count(nxt) < need + size or _reach(g, nxt & -nxt, nxt) != nxt:
+                # after a one-vertex S the cap is one less: need(rest, cap - 1) = need + k
+                single = s & (s - 1) == 0
+                if count(nxt) < need + k * single + size or _reach(g, nxt & -nxt, nxt) != nxt:
                     dead[nxt] = rest
                     continue
                 chosen.append(s)
-                if part(nxt, rest, cap - (s & (s - 1) == 0)):
+                if part(nxt, rest, cap - single):
                     return True
                 chosen.pop()
             within ^= x
@@ -680,10 +696,11 @@ def has_dominating_kt(
         return False
 
     rest = t - 1
-    need = rest * (rest - 3) // 2
+    k = rest - omega
+    need = rest * (rest - 3) // 2 + k * (k - 1) // 2
     full = g.full_mask
     grows = None
-    if rest >= 4:
+    if need > 0:
         grows = _growth_test(g, need, count)
         if not grows(0):
             return None
@@ -696,11 +713,12 @@ def has_dominating_kt(
             size = r_mask.bit_count()
             if size < rest or 0 < dead[r_mask] <= rest:
                 continue
-            if count(r_mask) < need + size or _reach(g, r_mask & -r_mask, r_mask) != r_mask:
+            single = s & (s - 1) == 0
+            if count(r_mask) < need + k * single + size or _reach(g, r_mask & -r_mask, r_mask) != r_mask:
                 dead[r_mask] = rest
                 continue
             chosen.append(s)
-            if part(r_mask, rest, omega - (s & (s - 1) == 0)):
+            if part(r_mask, rest, omega - single):
                 model = tuple(chosen)
                 break
             chosen.pop()

@@ -112,6 +112,27 @@ def one_subdivision_complete(k: int) -> Graph:
     return from_edge_list(nxt, edges)
 
 
+def mycielski(k: int) -> Graph:
+    """The Mycielski graph M_k, triangle-free with chromatic number k
+    (Mycielski, *Sur le coloriage des graphs*, Colloq. Math. 3, 1955).
+
+    M_1 = K_1, M_2 = K_2, M_3 is the 5-cycle 0..4, and M_{k+1} is the
+    Mycielskian of M_k: on n vertices, it adds a shadow n + v of each vertex
+    v, adjacent to the neighbours of v, and a vertex 2n adjacent to every
+    shadow.  M_4 is the Grötzsch graph and M_5 has 23 vertices.
+    """
+    if k < 1:
+        raise ValueError("mycielski needs k >= 1")
+    g = complete(k) if k < 3 else cycle(5)
+    for _ in range(k - 3):
+        n = g.n
+        edges = list(g.edges())
+        edges += [(u, v + n) for u, v in edges] + [(v, u + n) for u, v in edges]
+        edges += [(v + n, 2 * n) for v in range(n)]
+        g = from_edge_list(2 * n + 1, edges)
+    return g
+
+
 _FAMILIES = {
     "cycle": (cycle, 1),
     "path": (path, 1),
@@ -122,6 +143,7 @@ _FAMILIES = {
     "t-graph": (t_graph, 0),
     "two-k2": (two_k2, 0),
     "one-subdivision-complete": (one_subdivision_complete, 1),
+    "mycielski": (mycielski, 1),
 }
 
 

@@ -31,6 +31,7 @@ from domminor.generators import (
     complete,
     complete_multipartite,
     cycle,
+    family,
     one_subdivision_complete,
     path,
     petersen,
@@ -381,15 +382,6 @@ class TestCliqueIndependence:
         assert all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
 
 
-def mycielski(g: Graph) -> Graph:
-    """Triangle-free graph with chromatic number one more than ``g``'s."""
-    n = g.n
-    edges = list(g.edges())
-    edges += [(u, v + n) for u, v in g.edges()] + [(v, u + n) for u, v in g.edges()]
-    edges += [(v + n, 2 * n) for v in range(n)]
-    return from_edge_list(2 * n + 1, edges)
-
-
 def unstopped_clique_number(g: Graph) -> tuple[int, int]:
     """The clique search without the stop at DSATUR's count: it proves
     optimality before it returns."""
@@ -488,7 +480,7 @@ class TestGraphMemo:
                 assert fn.cache_info().hits == hits + 1
 
     def test_deadline_failure_is_not_remembered(self):
-        g = mycielski(mycielski(C5))  # 23 vertices, triangle-free, chi 5
+        g = family("mycielski", [5])  # 23 vertices, triangle-free, chi 5
         with pytest.raises(SearchDeadlineExceeded):
             chromatic_number(g, Deadline(0))
         assert chromatic_number.cache_info().size == 0
@@ -891,10 +883,11 @@ class TestDeadStateMemo:
                     if r:
                         assert not self.brute_splits(g, m, r), (line, m, r)
                         entries += 1
-        # 18,860 before the excess cut at every level of the partition walk,
-        # whose shorter walks record fewer dead masks; 19,993 before the ω cap
-        # on the singleton bound, 23,566 before the T_1 walk's excess cut
-        assert entries == 18_838
+        # 18,838 before the domination edge bound, whose shorter walks
+        # record one dead mask fewer; 18,860 before the excess cut at every
+        # level of the partition walk; 19,993 before the ω cap on the
+        # singleton bound, 23,566 before the T_1 walk's excess cut
+        assert entries == 18_837
 
     def test_invalid_model_raises_without_assert(self, monkeypatch):
         # the model check must hold under ``python -O`` too, so it may not be an assert
@@ -934,6 +927,13 @@ class TestDeepSearch:
             h.update(f"{label} {hd} {model}\n".encode())
         assert values == [8, 7, 7, 9, 8, 8, 5, 5, 5, 5, 5, 3]
         assert h.hexdigest() == "1c912127c3d81bd7bafb6ec5c9111cad"
+
+    def test_mycielski_m5_pinned(self):
+        # M5 (n = 23, χ = 5, ω = 2): the t = 8 refutation walks sets with few
+        # one-vertex branch sets, which the domination edge bound cuts; with
+        # the K_r edge bound alone this call took about 150 s
+        g = family("mycielski", [5])
+        assert dominating_hadwiger_number(g, cap=23) == (7, (8323, 4425728, 4172, 1328640, 48, 256, 2097152))
 
 
 class TestSingletonCliqueBound:
@@ -1065,10 +1065,12 @@ class TestEdgeBound:
         assert yields[0] <= 200_000  # 627,081 without the bound
 
     def test_dominating_deadline_fires(self):
-        # the pruned search makes only ~100 recursive calls here, fewer than
-        # the ticks between clock reads, so the deadline must tick per set
+        # the pruned search makes few recursive calls, far fewer than the 256
+        # ticks between clock reads, so the deadline must tick per set; this
+        # refutation walks 2,656 sets (gnp(16,.25,3) at t = 6, tested here
+        # before the domination edge bound, now walks only 237)
         with pytest.raises(SearchDeadlineExceeded):
-            has_dominating_kt(random_gnp(16, 0.25, 3), 6, deadline=Deadline(1e-4))
+            has_dominating_kt(random_2k2_free(14, 0.3, 1), 8, deadline=Deadline(1e-4))
 
     @pytest.mark.parametrize("make, t, found", [
         (lambda: random_2k2_free(14, 0.3, 1), 8, False),
@@ -1101,13 +1103,22 @@ class TestExcessCut:
                     best[w] = max(best[w], best[w ^ 1 << v])
         return best
 
+    @staticmethod
+    def core_excess(g: Graph, w: int, count) -> int:
+        """e(C) - |C| for the 2-core C of G[w], 0 if C is empty."""
+        core = exact_mod._two_core(g.adj, w)
+        return count(core) - core.bit_count()
+
     def test_core_excess_matches_brute_force_on_atlas(self):
         count = 0
         for n in range(7):
             for line in (DATA / f"graphs{n}.g6").read_text().split():
                 g = parse_graph6(line)
+                edges = exact_mod._edge_counter(g.adj)
                 for w, best in enumerate(self.brute_excess(g)):
-                    assert exact_mod._core_excess(g.adj, w, exact_mod._edge_counter(g.adj)) == best, (line, w)
+                    core = exact_mod._two_core(g.adj, w)
+                    assert core & ~w == 0 and all((g.adj[v] & core).bit_count() >= 2 for v in set_to_list(core)), (line, w)
+                    assert self.core_excess(g, w, edges) == best, (line, w)
                     count += 1
         assert count == 11_291
 
@@ -1116,7 +1127,8 @@ class TestExcessCut:
     def test_core_excess_matches_brute_force_on_gnp(self, n, p, seed):
         g = random_gnp(n, p, seed)
         best = self.brute_excess(g)
-        assert [exact_mod._core_excess(g.adj, w, exact_mod._edge_counter(g.adj)) for w in range(1 << n)] == best
+        edges = exact_mod._edge_counter(g.adj)
+        assert [self.core_excess(g, w, edges) for w in range(1 << n)] == best
 
     def test_growth_test_shortcut_only_skips_peels(self):
         # the test tries e(W) - |W| before it peels, W = V - S; it must be
@@ -1130,10 +1142,39 @@ class TestExcessCut:
                 for need in (2, 5, 9):
                     grows = exact_mod._growth_test(g, need, edges)
                     for s in sets:
-                        excess = exact_mod._core_excess(g.adj, g.full_mask & ~s, edges)
+                        excess = self.core_excess(g, g.full_mask & ~s, edges)
                         assert grows(s) == (excess >= need), (line, need, s)
                         count += 1
         assert count == 259_035
+
+    def test_growth_test_counts_a_core_only_when_peeled(self):
+        # a peel that deletes no vertex leaves e(W) - |W|, which the test has
+        # just counted, so it counts edges a second time only when the 2-core
+        # of G[W] is smaller than W
+        rng = random.Random(31)
+        calls = tests = peels = 0
+        for n in range(1, 8):
+            for line in (DATA / f"graphs{n}.g6").read_text().split():
+                g = parse_graph6(line)
+                edges = exact_mod._edge_counter(g.adj)
+
+                def counting(m):
+                    nonlocal calls
+                    calls += 1
+                    return edges(m)
+
+                m = rng.getrandbits(n)
+                need = rng.randint(1, 4)
+                grows = exact_mod._growth_test(g, need, counting, m)
+                for s in (0, *enumerate_connected_sets(g, m)):
+                    w = m & ~s
+                    before = calls
+                    grows(s)
+                    peeled = edges(w) - w.bit_count() < need and exact_mod._two_core(g.adj, w) != w
+                    assert calls - before == 1 + peeled, (line, m, s, need)
+                    tests += 1
+                    peels += peeled
+        assert tests > 5_000 and 0 < peels < tests, (tests, peels)
 
     def test_t1_walk_stays_cut(self, monkeypatch):
         yields = TestEdgeBound.count_walk(monkeypatch)
@@ -1158,7 +1199,7 @@ class TestExcessCut:
                     for s in (0, *enumerate_connected_sets(g, m)):
                         w = m & ~s
                         grown = grows(s)
-                        assert grown == (exact_mod._core_excess(g.adj, w, edges) >= need), (line, m, s, need)
+                        assert grown == (self.core_excess(g, w, edges) >= need), (line, m, s, need)
                         assert grown or best[w] < need, (line, m, s, need)
                         tested += 1
                         cut += not grown
@@ -1169,13 +1210,71 @@ class TestExcessCut:
         # the excess cut at every level of the partition walk shortens
         yields = TestEdgeBound.count_walk(monkeypatch)
         assert has_dominating_kt(random_2k2_free(14, 0.3, 1), 8) is None
-        assert yields[0] == 3_408  # 8,488 with the cut on the T_1 walk alone
+        # 3,408 with the K_r edge bound in place of the domination edge
+        # bound, 8,488 with the cut on the T_1 walk alone
+        assert yields[0] == 2_656
 
     def test_refutes_before_any_walk(self, monkeypatch):
         # a path has no cycle, so its 2-core is empty and no R reaches 2
         yields = TestEdgeBound.count_walk(monkeypatch)
         assert has_dominating_kt(path(12), 5) is None
         assert yields[0] == 0
+
+
+class TestDominationEdgeBound:
+    # each vertex of T_j has a neighbour in each of T_1, ..., T_{j-1} and each
+    # T_j is connected, so a dominating model of r sets inside R, at most c
+    # of them one-vertex sets, has e(R) - |R| >= r(r - 3)/2 + C(r - min(r, c), 2)
+
+    @staticmethod
+    def need(r: int, c: int) -> int:
+        k = r - min(r, c)
+        return r * (r - 3) // 2 + k * (k - 1) // 2
+
+    def test_closed_form_is_least_over_set_sizes(self):
+        # the least sum of (|T_j| - 1) + |T_j|(j - 1) over every size vector
+        # of r sets covering R with at most c one-vertex sets, for every
+        # feasible (r, |R|, c) with r <= 7, |R| <= 13 and c <= r
+        cases = 0
+        for r in range(1, 8):
+            for size in range(r, 14):
+                for c in range(r + 1):
+                    least = None
+                    for cuts in itertools.combinations(range(1, size), r - 1):
+                        sizes = [b - a for a, b in zip((0, *cuts), (*cuts, size))]
+                        if sizes.count(1) <= c:
+                            edges = sum(k - 1 + k * j for j, k in enumerate(sizes))
+                            least = edges if least is None else min(least, edges)
+                    if least is not None:
+                        assert least - size == self.need(r, c), (r, size, c)
+                        cases += 1
+        assert cases == 238
+
+    def test_refused_masks_do_not_split_on_atlas(self):
+        # the split test refuses R for r sets when e(R) - |R| < need(r, cap)
+        # with a cap >= ω(G[R]); need falls as the cap grows, so every mask it
+        # can refuse is refused at cap = ω(G[R]).  A refusal where e(R) - |R|
+        # >= r(r - 3)/2, the K_r edge bound, is new, and that R may not split
+        # (a disconnected R never splits, so only connected ones are tried)
+        refused = sharper = 0
+        for n in range(1, 8):
+            for line in (DATA / f"graphs{n}.g6").read_text().split():
+                g = parse_graph6(line)
+                edges = exact_mod._edge_counter(g.adj)
+                omega = [0] * (1 << n)
+                for m in range(1, 1 << n):
+                    low = m & -m
+                    omega[m] = max(omega[m ^ low], 1 + omega[m & g.adj[low.bit_length() - 1]])
+                    if not is_connected_set(g, m):
+                        continue
+                    excess = edges(m) - m.bit_count()
+                    for r in range(2, m.bit_count() + 1):
+                        if excess < self.need(r, omega[m]):
+                            refused += 1
+                            if excess >= r * (r - 3) // 2:
+                                assert not TestDeadStateMemo.brute_splits(g, m, r), (line, m, r)
+                                sharper += 1
+        assert (refused, sharper) == (88_041, 226)
 
 
 class TestNoReferenceCycles:

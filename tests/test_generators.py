@@ -71,6 +71,28 @@ class TestFamilies:
         assert family("complete-multipartite", [2, 2, 2]) == complete_multipartite([2, 2, 2])
         assert "cycle" in family_names()
 
+    def test_mycielski(self):
+        # M_1 = K_1, M_2 = K_2 and M_3 = C_5; each later M_k keeps M_{k-1} on
+        # 0..n-1, adds a shadow n + v adjacent to the neighbours of v, and
+        # 2n adjacent to every shadow; each is triangle-free with χ = k
+        from domminor.exact import chromatic_number, clique_number
+
+        assert [family("mycielski", [k]) for k in (1, 2, 3)] == [complete(1), complete(2), cycle(5)]
+        for k in (4, 5):
+            g, h = family("mycielski", [k]), family("mycielski", [k - 1])
+            n = h.n
+            low = (1 << n) - 1
+            assert g.n == 2 * n + 1 and g.adj[2 * n] == low << n
+            for v in range(n):
+                assert g.adj[v] == h.adj[v] | h.adj[v] << n
+                assert g.adj[n + v] == h.adj[v] | 1 << 2 * n
+        assert [(g.n, g.edge_count()) for g in (family("mycielski", [k]) for k in (4, 5))] == [(11, 20), (23, 71)]
+        for k in range(2, 6):
+            g = family("mycielski", [k])
+            assert clique_number(g)[0] == 2 and chromatic_number(g)[0] == k
+        with pytest.raises(ValueError):
+            family("mycielski", [0])
+
     def test_family_errors(self):
         with pytest.raises(ValueError, match="unknown family"):
             family("moebius")
