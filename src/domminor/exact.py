@@ -696,8 +696,8 @@ def has_dominating_kt(
         return False
 
     rest = t - 1
-    k = rest - omega
-    need = rest * (rest - 3) // 2 + k * (k - 1) // 2
+    k = rest - omega  # >= 0, since omega < t
+    need = rest * (rest - 3) // 2 + k * (k - 1) // 2  # need(rest, omega)
     full = g.full_mask
     grows = None
     if need > 0:

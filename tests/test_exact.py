@@ -929,9 +929,10 @@ class TestDeepSearch:
         assert h.hexdigest() == "1c912127c3d81bd7bafb6ec5c9111cad"
 
     def test_mycielski_m5_pinned(self):
-        # M5 (n = 23, χ = 5, ω = 2): the t = 8 refutation walks sets with few
-        # one-vertex branch sets, which the domination edge bound cuts; with
-        # the K_r edge bound alone this call took about 150 s
+        # M5 (n = 23, χ = 5, ω = 2): at most two branch sets are single
+        # vertices, so the domination edge bound asks C(r - 2, 2) edges more
+        # than the K_r bound; with the K_r bound alone the t = 8 refutation
+        # took 109-123 s on a 2-core host, against 0.6-1.3 s
         g = family("mycielski", [5])
         assert dominating_hadwiger_number(g, cap=23) == (7, (8323, 4425728, 4172, 1328640, 48, 256, 2097152))
 
@@ -1065,10 +1066,10 @@ class TestEdgeBound:
         assert yields[0] <= 200_000  # 627,081 without the bound
 
     def test_dominating_deadline_fires(self):
-        # the pruned search makes few recursive calls, far fewer than the 256
-        # ticks between clock reads, so the deadline must tick per set; this
-        # refutation walks 2,656 sets (gnp(16,.25,3) at t = 6, tested here
-        # before the domination edge bound, now walks only 237)
+        # the deadline reads the clock once per 256 ticks, so it must tick per
+        # walked set, not per recursive call; this refutation walks 2,656
+        # sets (gnp(16,.25,3) at t = 6, used here before the domination edge
+        # bound, now walks only 237, too few to reach a clock read)
         with pytest.raises(SearchDeadlineExceeded):
             has_dominating_kt(random_2k2_free(14, 0.3, 1), 8, deadline=Deadline(1e-4))
 

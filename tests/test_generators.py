@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from domminor.exact import chromatic_number, clique_number
 from domminor.generators import (
     SplitMix64,
     banner,
@@ -47,8 +48,6 @@ class TestFamilies:
         # triangle-free: subdivision vertices have degree 2 and branch
         # vertices form an independent set
         assert find_induced(g, two_k2()) is not None  # sanity: sparse
-        from domminor.exact import clique_number
-
         assert clique_number(g)[0] == 2
 
     def test_t_graph_contains_banner_and_c5(self):
@@ -75,8 +74,6 @@ class TestFamilies:
         # M_1 = K_1, M_2 = K_2 and M_3 = C_5; each later M_k keeps M_{k-1} on
         # 0..n-1, adds a shadow n + v adjacent to the neighbours of v, and
         # 2n adjacent to every shadow; each is triangle-free with χ = k
-        from domminor.exact import chromatic_number, clique_number
-
         assert [family("mycielski", [k]) for k in (1, 2, 3)] == [complete(1), complete(2), cycle(5)]
         for k in (4, 5):
             g, h = family("mycielski", [k]), family("mycielski", [k - 1])
