@@ -2,8 +2,8 @@
 
 Every subcommand writes a single JSON object to standard output (``--plain``
 switches to terse human-readable text), with a top-level ``schema`` field.
-Exit codes: 0 success, 1 operational error (parse failure, capacity,
-precondition violation) or a hunt record with verdict ``internal-error``
+Exit codes: 0 success, 1 operational error (usage error, parse failure,
+capacity, precondition violation) or a hunt record with verdict ``internal-error``
 (a record whose own evidence contradicts it, such as a chi that a
 (chi-1)-colouring refutes), 2 negative verification verdict or
 counterexample.
@@ -185,34 +185,12 @@ def _cmd_hd(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    name = args.family
-    if name in ("gnp", "2k2-free"):
-        if args.seed is None:
-            raise CliError(f"family {name!r} requires an explicit --seed")
-        if len(args.params) != 2:
-            raise CliError(f"family {name!r} takes parameters: n p")
-        try:
-            n, p = int(args.params[0]), float(args.params[1])
-        except ValueError:
-            raise CliError(f"family {name!r} needs an integer n and a number p, got {args.params}")
-        make = generators.random_gnp if name == "gnp" else generators.random_2k2_free
-        try:
-            g = make(n, p, args.seed)
-        except ValueError as exc:
-            raise CliError(str(exc))
-    else:
-        params = []
-        for x in args.params:
-            try:
-                params.append(int(x))
-            except ValueError:
-                raise CliError(f"family {name!r} takes integer parameters, got {x!r}")
-        try:
-            g = generators.family(name, params)
-        except ValueError as exc:
-            raise CliError(str(exc))
+    try:
+        g = generators.family(args.family, args.params, args.seed)
+    except ValueError as exc:
+        raise CliError(str(exc))
     s = emit_graph6(g)
-    _print(args, {"schema": "domminor/gen/v1", "family": name, "n": g.n, "graph6": s}, s)
+    _print(args, {"schema": "domminor/gen/v1", "family": args.family, "n": g.n, "graph6": s}, s)
     return 0
 
 
@@ -244,8 +222,16 @@ def _cmd_hunt(args) -> int:
     return summary.exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error exits 1 with the error object, not 2 as in argparse,
+    # which is the exit code of a negative verdict
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise CliError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="domminor",
         description="Dominating clique minors: exact search, constructive "
         "extraction on 2K2-free graphs, and corpus hunting.",
@@ -281,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_hd)
 
     p = sub.add_parser("gen", help="generate a named or random family graph")
-    p.add_argument("family", help="one of: " + ", ".join(generators.family_names() + ["gnp", "2k2-free"]))
+    p.add_argument("family", help="one of: " + ", ".join(generators.family_names()))
     p.add_argument("params", nargs="*", help="family parameters")
     p.add_argument("--seed", type=int, help="seed for random families (required there)")
     p.set_defaults(fn=_cmd_gen)
@@ -311,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as exc:
         print(json.dumps({"schema": "domminor/error/v1", "error": str(exc), **exc.payload}))

@@ -548,7 +548,8 @@ def has_dominating_kt(
     *,
     _dead: bytearray | None = None,
 ) -> MinorModel | None:
-    """A verified dominating K_t model, or ``None`` after exhaustive search.
+    """A dominating K_t model, or ``None`` after exhaustive search.  A model
+    the search finds is verified; t singletons of a clique (ω >= t) need no check.
 
     The search looks only for models in normal form, where T_2, ..., T_t
     partition R = N(T_1) minus T_1.  Every dominating K_t model grows into

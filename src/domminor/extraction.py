@@ -145,16 +145,15 @@ class Structure(NamedTuple):
 class _Ctx:
     """One extraction run: its trace, its case analysis
     (``branch(g, need, ctx, depth)``) and the verifier its models and
-    prefixes must pass: the dominating ones unless
-    :func:`extract_ordinary_minor` passes ``_p4_branch``, whose models are
-    ordinary ones."""
+    prefixes must pass.  Each entry point names its pair; both default to
+    :func:`extract_dominating`'s."""
 
     __slots__ = ("trace", "branch", "verify")
 
-    def __init__(self, trace: Trace | None = None, branch=None):
+    def __init__(self, trace: Trace | None = None, branch=None, verify=verify_dominating_model):
         self.trace = trace
         self.branch = branch or _branch
-        self.verify = verify_ordinary_model if self.branch is _p4_branch else verify_dominating_model
+        self.verify = verify
 
     def record(self, depth: int, branch: str, **extra) -> None:
         if self.trace is not None:
@@ -795,7 +794,7 @@ def extract_dominating(g: Graph, trace: Trace | None = None) -> MinorModel:
     the analysis relies on fails, rather than ever returning an unverified
     model.
     """
-    return _extract_verified(g, _Ctx(trace))
+    return _extract_verified(g, _Ctx(trace, _branch, verify_dominating_model))
 
 
 # ---------------------------------------------------------------------------
@@ -830,4 +829,4 @@ def extract_ordinary_minor(g: Graph, trace: Trace | None = None) -> MinorModel:
     The result passes the ordinary verifier but generally not the dominating
     one.
     """
-    return _extract_verified(g, _Ctx(trace, _p4_branch))
+    return _extract_verified(g, _Ctx(trace, _p4_branch, verify_ordinary_model))

@@ -55,6 +55,8 @@ def complete(n: int) -> Graph:
 
 def complete_multipartite(sizes: list[int]) -> Graph:
     """Parts are consecutive vertex blocks in the given order."""
+    if not sizes:
+        raise ValueError("complete-multipartite needs at least one part size")
     if any(s < 1 for s in sizes):
         raise ValueError("part sizes must be positive")
     bounds = []
@@ -131,39 +133,6 @@ def mycielski(k: int) -> Graph:
         edges += [(v + n, 2 * n) for v in range(n)]
         g = from_edge_list(2 * n + 1, edges)
     return g
-
-
-_FAMILIES = {
-    "cycle": (cycle, 1),
-    "path": (path, 1),
-    "complete": (complete, 1),
-    "complete-multipartite": (None, -1),  # variadic, handled in family()
-    "petersen": (petersen, 0),
-    "banner": (banner, 0),
-    "t-graph": (t_graph, 0),
-    "two-k2": (two_k2, 0),
-    "one-subdivision-complete": (one_subdivision_complete, 1),
-    "mycielski": (mycielski, 1),
-}
-
-
-def family(name: str, params: list[int] | None = None) -> Graph:
-    """Build a named family graph; params are the family's integer arguments."""
-    params = params or []
-    if name not in _FAMILIES:
-        raise ValueError(f"unknown family {name!r}; known: {sorted(_FAMILIES)}")
-    if name == "complete-multipartite":
-        if not params:
-            raise ValueError("complete-multipartite needs at least one part size")
-        return complete_multipartite(params)
-    fn, arity = _FAMILIES[name]
-    if len(params) != arity:
-        raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
-    return fn(*params)
-
-
-def family_names() -> list[str]:
-    return sorted(_FAMILIES)
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +232,47 @@ def random_2k2_free(n: int, p: float, seed: int) -> Graph:
     if find_2k2(g) is not None:
         raise RuntimeError("repair loop returned a graph that still contains a 2K2")
     return g
+
+
+# name -> (builder, parameter kinds, seeded).  A kind is "integer <name>" or
+# "number <name>", one per parameter, or "integer sizes..." for any number of
+# integers.  A seeded builder gets the seed after its parameters.
+_FAMILIES = {
+    "cycle": (cycle, ("integer n",), False),
+    "path": (path, ("integer n",), False),
+    "complete": (complete, ("integer n",), False),
+    "complete-multipartite": (lambda *sizes: complete_multipartite(list(sizes)), ("integer sizes...",), False),
+    "petersen": (petersen, (), False),
+    "banner": (banner, (), False),
+    "t-graph": (t_graph, (), False),
+    "two-k2": (two_k2, (), False),
+    "one-subdivision-complete": (one_subdivision_complete, ("integer k",), False),
+    "mycielski": (mycielski, ("integer k",), False),
+    "gnp": (random_gnp, ("integer n", "number p"), True),
+    "2k2-free": (random_2k2_free, ("integer n", "number p"), True),
+}
+
+
+def family(name: str, params: list | tuple = (), seed: int | None = None) -> Graph:
+    """Build a named family graph.  ``params`` may be numbers or the strings of
+    a command line, parsed by kind; the random families require ``seed``."""
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family {name!r}; known: {family_names()}")
+    build, kinds, seeded = _FAMILIES[name]
+    if seeded and seed is None:
+        raise ValueError(f"family {name!r} requires an explicit --seed")
+    many = any(k.endswith("...") for k in kinds)
+    if not many and len(params) != len(kinds):
+        raise ValueError(f"family {name!r} takes {len(kinds)} parameter(s), got {len(params)}")
+    args = []
+    for kind, x in zip(kinds * len(params) if many else kinds, params):
+        try:
+            args.append((float if kind.startswith("number") else int)(x) if isinstance(x, str) else x)
+        except ValueError:
+            usage = " and ".join(kinds) if any(k.startswith("number") for k in kinds) else "integer parameters"
+            raise ValueError(f"family {name!r} takes {usage}, got {x!r}") from None
+    return build(*args, seed) if seeded else build(*args)
+
+
+def family_names() -> list[str]:
+    return sorted(_FAMILIES)

@@ -304,8 +304,8 @@ def emit_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: Graph) -> str:
+    lines = ["graph G {"]
     lines.extend(f"  {v};" for v in range(g.n))
     lines.extend(f"  {u} -- {v};" for u, v in g.edges())
     lines.append("}")

@@ -454,13 +454,13 @@ class _InProcess:
         return future
 
 
-def run_hunt(cfg: HuntConfig, record_stream=None) -> HuntSummary:
+def run_hunt(cfg: HuntConfig) -> HuntSummary:
     """Process the corpus per the configuration; returns the final summary.
 
-    Records go to ``cfg.output_path`` (or ``record_stream``/stdout) in input
-    order.  With a checkpoint path, interrupted runs resume where they
-    stopped: the output file is truncated back to the last checkpointed byte
-    so the final record multiset is identical to an uninterrupted run.
+    Records go to ``cfg.output_path`` (or stdout) in input order.  With a
+    checkpoint path, interrupted runs resume where they stopped: the output
+    file is truncated back to the last checkpointed byte so the final record
+    multiset is identical to an uninterrupted run.
     """
     cfg.validate()
     t0 = time.monotonic()
@@ -477,6 +477,7 @@ def run_hunt(cfg: HuntConfig, record_stream=None) -> HuntSummary:
         checkpoint = _Checkpoint(cfg)
         next_line, output_bytes = checkpoint.read(lines)
 
+        out_fh = sys.stdout
         if cfg.output_path is not None:
             resume = next_line > 0 and os.path.exists(cfg.output_path)
             try:
@@ -497,8 +498,6 @@ def run_hunt(cfg: HuntConfig, record_stream=None) -> HuntSummary:
                     raise HuntError(f"unreadable record before the checkpoint in {cfg.output_path}: {exc}") from exc
                 out_fh.truncate(output_bytes)
                 out_fh.seek(output_bytes)
-        else:
-            out_fh = record_stream if record_stream is not None else sys.stdout
 
         pool = stack.enter_context(ProcessPoolExecutor(cfg.workers)) if cfg.workers > 1 else _InProcess()
         unbudgeted = cfg._replace(time_budget_s=None)

@@ -1,12 +1,31 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import domminor.extraction as ex
 from domminor.cli import main
-from domminor.generators import cycle, two_k2
+from domminor.generators import cycle, family, family_names, two_k2
 from domminor.graphs import emit_edge_list, emit_graph6
 
 GRAPHS3 = Path(__file__).parent / "data" / "graphs3.g6"
+
+# every family `domminor gen` builds, with parameters as a command line
+# gives them; the random ones also get a seed
+GEN_PARAMS = {
+    "cycle": ["7"],
+    "path": ["4"],
+    "complete": ["4"],
+    "complete-multipartite": ["2", "3", "1"],
+    "petersen": [],
+    "banner": [],
+    "t-graph": [],
+    "two-k2": [],
+    "one-subdivision-complete": ["4"],
+    "mycielski": ["4"],
+    "gnp": ["9", ".4"],
+    "2k2-free": ["12", ".3"],
+}
 
 
 def run(capsys, *argv):
@@ -239,6 +258,41 @@ class TestGen:
         assert code == 1
         assert obj["schema"] == "domminor/error/v1"
         assert "'complete-multipartite'" in obj["error"] and "'x'" in obj["error"]
+
+    def test_every_family_is_the_library_graph(self, capsys):
+        assert sorted(GEN_PARAMS) == family_names()
+        for name, params in GEN_PARAMS.items():
+            code, obj = run_json(capsys, "gen", name, *params, "--seed", "3")
+            assert code == 0 and obj["family"] == name
+            assert obj["graph6"] == emit_graph6(family(name, params, 3)), name
+
+    def test_unknown_family_lists_every_family(self, capsys):
+        code, obj = run_json(capsys, "gen", "moebius")
+        assert code == 1
+        assert all(repr(name) in obj["error"] for name in GEN_PARAMS)
+
+
+class TestUsageErrors:
+    # argparse exits 2 on a usage error, which is the exit code of a
+    # counterexample; the CLI reports it as an operational error instead
+    @pytest.mark.parametrize(
+        "argv",
+        [("hunt", "--workers", "x"), (), ("frob",), ("analyze", "Dhc", "--bogus"), ("extract", "--mode", "x", "Dhc")],
+    )
+    def test_exit_1_with_the_error_object(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        obj = json.loads(captured.out)
+        assert obj["schema"] == "domminor/error/v1" and obj["error"].startswith("domminor")
+        assert captured.err.startswith("usage: domminor")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--help"])
+        assert exc.value.code == 0
+        help_text = "".join(capsys.readouterr().out.split())  # however argparse wraps it
+        assert "oneof:" + ",".join(sorted(GEN_PARAMS)) in help_text
 
 
 class TestConvert:

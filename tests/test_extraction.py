@@ -557,7 +557,7 @@ class TestBudget:
             chi, _ = chromatic_number(g)
             for branch, verify in ((ex._branch, verify_dominating_model), (ex._p4_branch, verify_ordinary_model)):
                 for b in range(chi + 1):
-                    model = ex._extract(g, ex._Ctx(None, branch), 0, b)
+                    model = ex._extract(g, ex._Ctx(None, branch, verify), 0, b)
                     assert len(model) == b
                     report = verify(g, model)
                     assert report.valid, (emit_graph6(g), branch.__name__, b, report.message)

@@ -100,6 +100,17 @@ class TestFamilies:
         with pytest.raises(ValueError):
             complete_multipartite([0, 2])
 
+    def test_family_table_errors(self):
+        # the random families are rows of the same table and need their seed
+        assert family("gnp", [8, 0.5], 3) == random_gnp(8, 0.5, 3)
+        assert family("2k2-free", ["8", ".5"], 3) == random_2k2_free(8, 0.5, 3)
+        with pytest.raises(ValueError, match="--seed"):
+            family("gnp", [8, 0.5])
+        with pytest.raises(ValueError, match="at least one part size"):
+            family("complete-multipartite", [])
+        with pytest.raises(ValueError, match="integer n and number p, got 'x'"):
+            family("gnp", ["8", "x"], 3)
+
 
 class TestRandom:
     def test_extremes(self):

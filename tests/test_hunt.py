@@ -238,13 +238,10 @@ class TestRunHunt:
         assert [r["line"] for r in recs] == [2, 3]
         assert summary.total == 2
 
-    def test_record_stream_mode(self, corpus_file):
-        import io
-
-        buf = io.StringIO()
-        summary = run_hunt(HuntConfig(input_path=str(corpus_file)), record_stream=buf)
+    def test_record_stream_mode(self, corpus_file, capsys):
+        summary = run_hunt(HuntConfig(input_path=str(corpus_file)))
         assert summary.total == 3
-        assert len(buf.getvalue().splitlines()) == 3
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
     def test_config_validation(self):
         with pytest.raises(HuntError):
@@ -272,12 +269,10 @@ class TestRunHunt:
         HuntConfig(time_budget_s=float("inf")).validate()
 
     def test_checkpoint_requires_output_path(self, corpus_file, tmp_path):
-        import io
-
         ckpt = tmp_path / "ck.json"
         cfg = HuntConfig(input_path=str(corpus_file), checkpoint_path=str(ckpt))
         with pytest.raises(HuntError, match="output"):
-            run_hunt(cfg, record_stream=io.StringIO())
+            run_hunt(cfg)
         assert not ckpt.exists()
 
     def test_unreadable_input(self, tmp_path):
@@ -357,11 +352,10 @@ class TestInputDecoding:
         run_hunt(HuntConfig(input_path=str(p), output_path=str(out)))
         self.check(out.read_text(encoding="utf-8"))
 
-    def test_stdin(self, monkeypatch):
+    def test_stdin(self, monkeypatch, capsys):
         self.stdin(monkeypatch, self.RAW)
-        buf = io.StringIO()
-        run_hunt(HuntConfig(), record_stream=buf)
-        self.check(buf.getvalue())
+        run_hunt(HuntConfig())
+        self.check(capsys.readouterr().out)
 
     def test_stdin_with_checkpoint(self, tmp_path, monkeypatch):
         self.stdin(monkeypatch, self.RAW)
