@@ -6,16 +6,49 @@ reproducible from (family, params, seed) alone, on any platform.
 
 from __future__ import annotations
 
-from itertools import combinations
+import struct
+from itertools import chain, combinations
+from typing import Iterator
 
 from .graphs import Graph, GraphConstructionError, from_edge_list
 from .patterns import BANNER, _partner, _scan_2k2, find_2k2
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+# The lanes of SplitMix64.draws: _ONES holds 1 in every 128-bit lane, _RAMP
+# holds (k + 1) * gamma in lane k, and _LANES holds the low 64 bits of every
+# lane.
+_BLOCK = 1024
+_ONES = int.from_bytes((b"\1" + bytes(15)) * _BLOCK, "little")
+_RAMP = int.from_bytes(b"".join(((k + 1) * _GAMMA).to_bytes(16, "little") for k in range(_BLOCK)), "little")
+_LANES = int.from_bytes((b"\xff" * 8 + bytes(8)) * _BLOCK, "little")
+
+
+def _block(state: int, size: int) -> tuple[int, ...]:
+    """The ``size`` (at most ``_BLOCK``) draws of ``next_u64`` from ``state``.
+
+    Each step of splitmix's finaliser runs once over every lane; a right
+    shift is masked back to 64 bits per lane, which drops the bits it moved
+    in from the lane above, and a product is reduced the same way.
+    """
+    low = (1 << 128 * size) - 1
+    lanes = _LANES & low
+    z = (state * (_ONES & low) + (_RAMP & low)) & lanes
+    z = ((z ^ (z >> 30) & lanes) * 0xBF58476D1CE4E5B9) & lanes
+    z = ((z ^ (z >> 27) & lanes) * 0x94D049BB133111EB) & lanes
+    z ^= (z >> 31) & lanes
+    return struct.unpack(f"<{2 * size}Q", z.to_bytes(16 * size, "little"))[::2]
 
 
 class SplitMix64:
-    """Pinned 64-bit generator (splitmix64); identical streams everywhere."""
+    """Pinned 64-bit generator (splitmix64); identical streams everywhere.
+
+    Draw k after the state s depends on s + k * gamma alone (Steele, Lea and
+    Flood, *Fast splittable pseudorandom number generators*, OOPSLA 2014), so
+    :meth:`draws` computes many at once; :meth:`next_u64` is the scalar
+    reference.
+    """
 
     __slots__ = ("state",)
 
@@ -23,7 +56,7 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -31,6 +64,26 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         return self.next_u64() % n
+
+    def draws(self, count: int) -> Iterator[int]:
+        """An iterator over the next ``count`` values of :meth:`next_u64`.
+
+        The state moves past all ``count`` at once, so a later ``next_u64``
+        continues the stream after them whether or not they are read.  They
+        are computed ``_BLOCK`` (1,024) at a time, when the iterator reaches
+        them, so memory stays bounded and time linear in ``count``.  A block
+        is one int: lane k, its bits 128k to 128k + 127, starts at the
+        block's state + (k + 1) * gamma, splitmix's xor-shift-multiply steps
+        run once over all lanes (see :func:`_block`), and ``struct`` reads
+        the low 64 bits of each lane out.  A lane is twice as wide as a
+        draw, so no product of a draw and a 64-bit constant spills into the
+        next lane.
+        """
+        state = self.state
+        self.state = (state + count * _GAMMA) & _MASK64
+        return chain.from_iterable(
+            _block((state + k * _GAMMA) & _MASK64, min(_BLOCK, count - k)) for k in range(0, count, _BLOCK)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +195,24 @@ def mycielski(k: int) -> Graph:
 def random_gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with each pair decided independently from the seeded stream.
 
-    Pairs are drawn in ``combinations(range(n), 2)`` order; a pair is an edge
-    when the top 53 bits of its draw fall below ``p * 2**53``, which is exact
-    for p in {0, 1}.
+    Pairs are drawn in ``combinations(range(n), 2)`` order, from one
+    :meth:`SplitMix64.draws` of C(n, 2) values computed in 128-bit lanes;
+    a pair is an edge when the top 53 bits of its draw fall below
+    ``p * 2**53``, which is exact for p in {0, 1}.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if n < 0:
         raise GraphConstructionError("vertex count must be non-negative")
-    draw = SplitMix64(seed).next_u64
-    threshold = int(p * (1 << 53))
+    draws = SplitMix64(seed).draws(n * (n - 1) // 2)
+    limit = int(p * (1 << 53)) << 11  # d >> 11 < t exactly when d < t << 11
     adj = [0] * n
     for i in range(n):
         row = adj[i]
         bit_i = 1 << i
-        for j in range(i + 1, n):
-            if draw() >> 11 < threshold:
+        # zip reads a draw only after range(i + 1, n) yields a j
+        for j, d in zip(range(i + 1, n), draws):
+            if d < limit:
                 row |= 1 << j
                 adj[j] |= bit_i
         adj[i] = row
@@ -206,7 +261,9 @@ def random_2k2_free(n: int, p: float, seed: int) -> Graph:
     first witness of a scan resumed at M (see :func:`_next_witness`).
     """
     g = random_gnp(n, p, seed)
-    rng = SplitMix64(seed ^ 0xD2B74407B1CE6E93)
+    # each repair adds a non-edge of the sample, so there are no more repairs
+    # than non-edges; the picks are the draws below(4) would make
+    picks = SplitMix64(seed ^ 0xD2B74407B1CE6E93).draws(n * (n - 1) // 2 - g.edge_count())
     full = g.full_mask
     adj = list(g.adj)
     found = find_2k2(g)
@@ -215,7 +272,7 @@ def random_2k2_free(n: int, p: float, seed: int) -> Graph:
         a1, a2, b1, b2 = found
         if a1 * n + a2 > frontier:  # a scan's witness; a dirty one lies below M
             frontier = a1 * n + a2
-        u, v = ((a1, b1), (a1, b2), (a2, b1), (a2, b2))[rng.below(4)]
+        u, v = ((a1, b1), (a1, b2), (a2, b1), (a2, b2))[next(picks) % 4]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
         dirty |= 1 << (u * n + v if u < v else v * n + u)

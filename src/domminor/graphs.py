@@ -204,7 +204,7 @@ def parse_graph6(text: str, cap: int = DEFAULT_GRAPH6_CAP) -> Graph:
         pos = 1
 
     if n > cap:
-        raise Graph6ParseError(f"vertex count {n} above cap {cap}", 0)
+        raise Graph6ParseError(f"vertex count {n} above cap {cap}; --g6-cap raises it", 0)
 
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -283,7 +283,7 @@ def parse_edge_list(text: str, cap: int = DEFAULT_GRAPH6_CAP) -> Graph:
     except ValueError:
         raise GraphConstructionError(f"non-integer 'n m' header {lines[0]!r}") from None
     if n > cap:
-        raise GraphConstructionError(f"vertex count {n} above cap {cap}")
+        raise GraphConstructionError(f"vertex count {n} above cap {cap}; --g6-cap raises it")
     if len(lines) - 1 != m:
         raise GraphConstructionError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = []

@@ -37,12 +37,21 @@ def find_induced(host: Graph, t: Graph) -> tuple[int, ...] | None:
     image of every earlier non-neighbour.  Candidates are tried low bit
     first, so complete assignments are reached in lexicographic order and the
     first one is the least; the last position takes its least candidate.
+
+    First-vertex cut: when two non-neighbours of template vertex 0 are
+    adjacent (P4, C5 and 2K2, but not the banner or C4), their images are an
+    edge of host - N[v] for the vertex v playing 0.  So v is tried only if
+    :func:`_partner` finds an edge avoiding N[v]; the cut skips only first
+    vertices that start no copy, and the witness stays the least.
     """
     k = t.n
     if k == 0:
         return ()
     adj = host.adj
+    full = host.full_mask
     earlier = [[(j, t.has_edge(i, j)) for j in range(i)] for i in range(k)]
+    away = t.full_mask & ~t.adj[0] & ~1  # the non-neighbours of template vertex 0
+    cut = any(t.adj[j] & away for j in bits(away))
     assignment = [0] * k
     last = k - 1
 
@@ -64,16 +73,27 @@ def find_induced(host: Graph, t: Graph) -> tuple[int, ...] | None:
         return False
 
     try:
-        found = extend(0, host.full_mask)
+        first = full
+        while first:
+            low = first & -first
+            first ^= low
+            v = low.bit_length() - 1
+            if cut and _partner(full, adj, v, v) is None:
+                continue
+            assignment[0] = v
+            if k == 1 or extend(1, full ^ low):
+                return tuple(assignment)
+        return None
     finally:
         del extend  # the closure refers to itself; free it without the cyclic collector
-    return tuple(assignment) if found else None
 
 
 def _partner(full: int, adj: Sequence[int], u: int, v: int) -> tuple[int, int] | None:
     """Least edge ``(w, x)``, ``w < x``, avoiding N[u] and N[v] for the edge
-    ``uv`` of the graph ``adj`` on vertex mask ``full``; ``None`` if none."""
-    rest = full & ~adj[u] & ~adj[v]  # u and v are each other's neighbours
+    ``uv`` of the graph ``adj`` on vertex mask ``full``; ``None`` if none.
+    With u = v it is the least edge of G - N[v]: v stays in the mask it
+    searches, but has no neighbour there."""
+    rest = full & ~adj[u] & ~adj[v]  # u and v are each other's neighbours, or u = v
     free = rest
     # no neighbour of w in rest lies below w: that vertex would have had w as
     # a neighbour in rest and been returned first; so the last vertex of rest

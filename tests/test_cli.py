@@ -93,6 +93,19 @@ class TestAnalyze:
         code, out = run(capsys, "--plain", "analyze", "Dhc")
         assert code == 0 and "chi=3" in out
 
+    def test_gen_above_the_cap_reads_back_with_g6_cap(self, capsys, tmp_path):
+        # what `domminor --plain gen path 600 | domminor analyze --file
+        # /dev/stdin` carries: refused at the default cap of 512, with the
+        # option to raise it named, and read with --g6-cap 600
+        code, out = run(capsys, "--plain", "gen", "path", "600")
+        assert code == 0
+        p = tmp_path / "path600.g6"
+        p.write_text(out + "\n")
+        code, obj = run_json(capsys, "analyze", "--file", str(p))
+        assert code == 1 and "above cap 512; --g6-cap raises it" in obj["error"]
+        code, obj = run_json(capsys, "analyze", "--g6-cap", "600", "--file", str(p))
+        assert code == 0 and obj["n"] == 600 and obj["chi"] == 2
+
 
 class TestExtract:
     def test_c5_dominating(self, capsys):

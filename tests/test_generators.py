@@ -182,6 +182,47 @@ class TestRandom:
         assert banner() == BANNER and find_banner(banner()) == (0, 1, 2, 3, 4)
 
 
+def reference_gnp(n, p, seed):
+    """G(n, p) drawn pair by pair with ``next_u64``, one call per pair."""
+    rng = SplitMix64(seed)
+    threshold = int(p * (1 << 53))
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.next_u64() >> 11 < threshold:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
+
+
+class TestLaneDraws:
+    SEEDS = (0, 1, 1234567, 2**64 - 1)
+
+    def test_draws_equal_scalar_calls(self):
+        # below, at and above one block of 1,024 lanes, and several blocks
+        for seed in self.SEEDS:
+            for count in (0, 1, 2, 1023, 1024, 1025, 5000):
+                lanes, scalar = SplitMix64(seed), SplitMix64(seed)
+                assert list(lanes.draws(count)) == [scalar.next_u64() for _ in range(count)], (seed, count)
+                assert lanes.state == scalar.state, (seed, count)
+
+    def test_next_u64_continues_after_draws(self):
+        # the draws are reserved when asked for, read or not
+        for seed in self.SEEDS:
+            scalar = SplitMix64(seed)
+            want = [scalar.next_u64() for _ in range(1500)]
+            lanes = SplitMix64(seed)
+            first = lanes.draws(1200)
+            rest = [lanes.next_u64() for _ in range(300)]
+            assert list(first) + rest == want, seed
+
+    def test_gnp_across_blocks(self):
+        # C(100, 2) = 4,950 pairs span five blocks; n = 30 stays in one
+        for p in (0.1, 0.5, 0.93):
+            for seed in (0, 77, 2**64 - 1):
+                assert random_gnp(100, p, seed) == reference_gnp(100, p, seed), (p, seed)
+
+
 def reference_2k2_free(n, p, seed):
     """The repair loop as first written: the same draws, but ``find_2k2``
     restarted on the whole graph after every added edge."""

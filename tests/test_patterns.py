@@ -12,6 +12,8 @@ from helpers import verify_embedding
 
 import domminor.patterns as patterns_mod
 from domminor.cli import main
+from domminor.extraction import extract_ordinary_minor
+from domminor.generators import complete, random_2k2_free
 from domminor.graphs import Graph, complement, emit_graph6, from_edge_list, mask_of, parse_graph6
 from domminor.patterns import (
     BANNER,
@@ -271,3 +273,69 @@ class TestCorpusInvariants:
                     assert find_induced(g, t) == want
                     count += 1
         assert count == 6265
+
+
+class TestFirstVertexCut:
+    DENSITIES = (0.08, 0.15, 0.25, 0.4, 0.6, 0.8)
+
+    @staticmethod
+    def _first_vertex_tests(monkeypatch):
+        """Count ``_partner``'s u = v calls, the first vertices tried, and
+        those it refuses; every other call has u < v."""
+        partner = patterns_mod._partner
+        counts = {"tried": 0, "skipped": 0}
+
+        def counting(full, adj, u, v):
+            found = partner(full, adj, u, v)
+            if u == v:
+                counts["tried"] += 1
+                counts["skipped"] += found is None
+            return found
+
+        monkeypatch.setattr(patterns_mod, "_partner", counting)
+        return counts
+
+    def test_skips_pinned_on_criterion_1(self, monkeypatch):
+        # the P4 searches of the ordinary extractor on criterion 1's first
+        # 156 graphs: most first vertices have an edgeless non-neighbourhood
+        graphs = [random_2k2_free(5 + i % 26, self.DENSITIES[i % 6], i) for i in range(156)]
+        counts = self._first_vertex_tests(monkeypatch)
+        for g in graphs:
+            extract_ordinary_minor(g)
+        assert counts == {"tried": 1976, "skipped": 1431}
+
+    def test_complete_host_never_enters_position_1(self, monkeypatch):
+        # in K_30 every N[v] is everything, so each first vertex is refused
+        # and no row of the host is read outside _partner
+        partner = patterns_mod._partner
+        inside = False
+        outside_reads = 0
+
+        class Rows(tuple):
+            def __getitem__(self, i):
+                nonlocal outside_reads
+                outside_reads += not inside
+                return tuple.__getitem__(self, i)
+
+        def tracked(*args):
+            nonlocal inside
+            inside = True
+            try:
+                return partner(*args)
+            finally:
+                inside = False
+
+        monkeypatch.setattr(patterns_mod, "_partner", tracked)
+        counts = self._first_vertex_tests(monkeypatch)
+        k30 = complete(30)
+        assert find_induced(Graph(30, Rows(k30.adj)), path_template(4)) is None
+        assert counts == {"tried": 30, "skipped": 30} and outside_reads == 0
+
+    def test_cut_only_where_two_non_neighbours_meet(self, monkeypatch):
+        # vertex 0 of P4, C5 and 2K2 has two adjacent non-neighbours; that of
+        # the banner and of C4 has not, so the cut stays off there
+        counts = self._first_vertex_tests(monkeypatch)
+        for t, used in ((P4, True), (C5, True), (TWO_K2, True), (BANNER, False), (C4, False)):
+            before = counts["tried"]
+            find_induced(PETERSEN, t)
+            assert (counts["tried"] > before) == used, t
